@@ -44,7 +44,6 @@ type benchOpts struct {
 	seed         int64
 	timeout      time.Duration
 	cacheBytes   int64  // in-process servers only; <=0 disables
-	coalesce     bool   // in-process servers only
 	faultSpec    string // armed through the FAULT verb before the run
 	faultSeed    int64  // in-process servers only
 	degraded     bool   // in-process servers only: partial answers over errors
@@ -143,7 +142,6 @@ func runBench(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	timeout := fs.Duration("timeout", 10*time.Second, "client request timeout")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "bucket cache budget for in-process servers (<=0 disables)")
-	coalesce := fs.Bool("coalesce", true, "coalesce adjacent page reads (in-process servers)")
 	jsonPath := fs.String("json", "", "also write the result rows as JSON to this file")
 	faultSpec := fs.String("fault", "", "failpoint spec armed via the FAULT verb before the run (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "fault registry seed for in-process servers")
@@ -171,8 +169,8 @@ func runBench(args []string, out io.Writer) error {
 	opts := benchOpts{
 		clients: *clients, queries: *queries, ratio: *ratio,
 		k: *k, seed: *seed, timeout: *timeout,
-		cacheBytes: *cacheBytes, coalesce: *coalesce,
-		faultSpec: *faultSpec, faultSeed: *faultSeed, degraded: *degraded,
+		cacheBytes: *cacheBytes,
+		faultSpec:  *faultSpec, faultSeed: *faultSeed, degraded: *degraded,
 		fetchRetries: *fetchRetries,
 		trace:        *trace, traceSlow: *traceSlow,
 		openLoop: *openLoop || *sweep != "", rate: *rate, duration: *duration,
@@ -313,13 +311,12 @@ func runBench(args []string, out io.Writer) error {
 // load against it.
 func benchStore(dir, label string, opts benchOpts) ([]benchRow, error) {
 	cfg := server.Config{
-		CacheBytes:      cacheFlag(opts.cacheBytes),
-		DisableCoalesce: !opts.coalesce,
-		DisableNoDelay:  !opts.nodelay,
-		Faults:          fault.NewRegistry(opts.faultSeed),
-		Degraded:        opts.degraded,
-		FetchRetries:    opts.fetchRetries,
-		Writable:        opts.writeFrac > 0,
+		CacheBytes:     cacheFlag(opts.cacheBytes),
+		DisableNoDelay: !opts.nodelay,
+		Faults:         fault.NewRegistry(opts.faultSeed),
+		Degraded:       opts.degraded,
+		FetchRetries:   opts.fetchRetries,
+		Writable:       opts.writeFrac > 0,
 	}
 	if opts.trace {
 		cfg.TraceSample = 1

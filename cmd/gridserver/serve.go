@@ -42,7 +42,6 @@ func runServe(args []string) error {
 	timeout := fs.Duration("timeout", 5*time.Second, "per-query deadline")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain budget")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "bucket cache budget in bytes (<=0 disables caching)")
-	coalesce := fs.Bool("coalesce", true, "coalesce adjacent page reads per disk")
 	pprof := fs.Bool("pprof", false, "expose /debug/pprof on the -http address")
 	faultSpec := fs.String("fault", "", "failpoint spec to arm at startup, e.g. store.read:err:p=0.05 (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault registry's reproducible schedules")
@@ -74,7 +73,6 @@ func runServe(args []string) error {
 		QueryTimeout:    *timeout,
 		DrainTimeout:    *drain,
 		CacheBytes:      cacheFlag(*cacheBytes),
-		DisableCoalesce: !*coalesce,
 		Pprof:           *pprof,
 		Faults:          reg,
 		Degraded:        *degraded,

@@ -4,8 +4,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/geom"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
 )
@@ -55,47 +57,86 @@ func runLayout(args []string) error {
 		}
 	}
 
-	// Verify the layout reads back correctly before declaring success: every
-	// bucket from every owning disk, so a torn replica copy fails the build
-	// rather than the first failover that routes to it.
-	s, err := store.Open(*out)
+	sizes, err := verifyLayout(*out, f.Len())
 	if err != nil {
 		return fmt.Errorf("layout verification: %w", err)
 	}
-	defer s.Close()
-	total := 0
-	for _, pl := range m.Buckets {
-		pts, _, err := s.ReadBucket(context.Background(), pl.ID)
-		if err != nil {
-			return fmt.Errorf("layout verification: bucket %d: %w", pl.ID, err)
-		}
-		total += len(pts)
-		for _, d := range s.Owners(pl.ID)[1:] {
-			copyPts, _, err := s.ReadBucketFrom(context.Background(), d, pl.ID)
-			if err != nil {
-				return fmt.Errorf("layout verification: bucket %d copy on disk %d: %w", pl.ID, d, err)
-			}
-			if len(copyPts) != len(pts) {
-				return fmt.Errorf("layout verification: bucket %d copy on disk %d has %d records, primary has %d",
-					pl.ID, d, len(copyPts), len(pts))
-			}
-		}
-	}
-	if total != f.Len() {
-		return fmt.Errorf("layout verification: %d records read back, file has %d", total, f.Len())
-	}
-	sizes, err := s.DiskSizes()
-	if err != nil {
-		return err
-	}
 	if *replicas > 1 {
 		fmt.Printf("laid out %d buckets (%d records) over %d disks with %s, %d copies each\n",
-			len(m.Buckets), total, *disks, allocator.Name(), *replicas)
+			len(m.Buckets), f.Len(), *disks, allocator.Name(), *replicas)
 	} else {
 		fmt.Printf("laid out %d buckets (%d records) over %d disks with %s\n",
-			len(m.Buckets), total, *disks, allocator.Name())
+			len(m.Buckets), f.Len(), *disks, allocator.Name())
 	}
 	fmt.Printf("pages per disk: %v\n", sizes)
 	fmt.Printf("layout is self-contained (grid.grd embedded); serve it with: gridserver serve -store %s\n", *out)
 	return nil
+}
+
+// verifyLayout reads a freshly written layout back before it is declared
+// good: every copy of every bucket, one ReadFlatsFromTimed batch per disk,
+// with page CRCs checked on checksummed layouts. Each secondary copy must
+// match its primary bit for bit, so a torn replica copy fails the build
+// rather than the first failover that routes to it, and the primaries must
+// hold exactly records records. It returns every disk file's size in pages.
+func verifyLayout(dir string, records int) ([]int64, error) {
+	s, err := store.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	s.SetVerify(s.Checksummed())
+	m := s.Manifest()
+
+	// copies[b][k] receives bucket m.Buckets[b]'s copy on its k-th owner.
+	copies := make([][]geom.Flat, len(m.Buckets))
+	type slot struct{ b, k int }
+	ids := make([][]int32, m.Disks)
+	slots := make([][]slot, m.Disks)
+	for b, pl := range m.Buckets {
+		copies[b] = make([]geom.Flat, len(pl.OwnerDisks))
+		for k, d := range pl.OwnerDisks {
+			ids[d] = append(ids[d], pl.ID)
+			slots[d] = append(slots[d], slot{b, k})
+		}
+	}
+	for d := range ids {
+		out := make([]geom.Flat, len(ids[d]))
+		if _, err := s.ReadFlatsFromTimed(context.Background(), d, ids[d], out, nil); err != nil {
+			return nil, fmt.Errorf("disk %d: %w", d, err)
+		}
+		for i, sl := range slots[d] {
+			copies[sl.b][sl.k] = out[i]
+		}
+	}
+
+	total := 0
+	for b, pl := range m.Buckets {
+		primary := copies[b][0].Coords
+		total += copies[b][0].Len()
+		for k, fl := range copies[b][1:] {
+			if !sameBits(fl.Coords, primary) {
+				return nil, fmt.Errorf("bucket %d copy on disk %d differs from the primary on disk %d",
+					pl.ID, pl.OwnerDisks[k+1], pl.Disk)
+			}
+		}
+	}
+	if total != records {
+		return nil, fmt.Errorf("%d records read back, file has %d", total, records)
+	}
+	return s.DiskSizes()
+}
+
+// sameBits reports whether two coordinate arrays are identical bit for bit
+// (unlike ==, which equates 0 and -0 and never matches NaN).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -52,7 +52,7 @@ import (
 // Failpoint site naming convention: <package>.<operation>[.<instance>].
 const (
 	// SiteStoreRead guards every positioned page read in internal/store
-	// (both ReadBucket and the coalesced ReadBuckets runs).
+	// (one per coalesced run of a ReadFlatsFromTimed batch).
 	SiteStoreRead = "store.read"
 	// SiteStoreReadDisk is the per-disk variant: SiteStoreReadDisk + "3"
 	// guards only reads against disk 3. StoreReadDiskSite builds the name.

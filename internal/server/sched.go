@@ -124,14 +124,14 @@ func (s *Server) diskWorker(disk int, q *diskQueue) {
 	}
 }
 
-// serveWindow serves one drained window. Requests that are traced (exact
-// per-query stage attribution), expired, or unmergeable by configuration go
-// through the individual path; when two or more plain live requests remain
-// they are merged into a single coalesced read. Merging requires the bucket
-// cache: its singleflight guarantees concurrent lead batches are disjoint,
-// which the store's flat read API relies on.
+// serveWindow serves one drained window. Expired requests go through the
+// individual path, which answers them without I/O; when two or more live
+// requests remain — traced or not — they are merged into a single coalesced
+// read. Merging requires the bucket cache: its singleflight guarantees
+// concurrent lead batches are disjoint, which the store's read API relies
+// on.
 func (s *Server) serveWindow(disk int, window []fetchReq, sc *windowScratch) {
-	mergeOK := len(window) > 1 && !s.cfg.DisableCoalesce && s.cfg.slowFetch == 0 && s.bcache != nil
+	mergeOK := len(window) > 1 && s.cfg.slowFetch == 0 && s.bcache != nil
 	if !mergeOK {
 		for _, req := range window {
 			s.serveOne(disk, req)
@@ -140,7 +140,7 @@ func (s *Server) serveWindow(disk int, window []fetchReq, sc *windowScratch) {
 	}
 	sc.reqs = sc.reqs[:0]
 	for _, req := range window {
-		if req.tr == nil && req.ctx.Err() == nil {
+		if req.ctx.Err() == nil {
 			sc.reqs = append(sc.reqs, req)
 		} else {
 			s.serveOne(disk, req)
@@ -154,7 +154,9 @@ func (s *Server) serveWindow(disk int, window []fetchReq, sc *windowScratch) {
 		// The merged attempt failed (possibly on one request's deadline);
 		// each request retries individually under its own context with a
 		// fresh retry budget, so merging can only improve a window, never
-		// change its outcome.
+		// change its outcome. A traced request's fetch_wait then runs from
+		// submit to that retry: the failed merged read was time it spent
+		// queued, not reading its own batch.
 		for _, req := range sc.reqs {
 			s.serveOne(disk, req)
 		}
@@ -164,10 +166,21 @@ func (s *Server) serveWindow(disk int, window []fetchReq, sc *windowScratch) {
 // serveMerged reads every window request's buckets in one coalesced store
 // call and scatters records, pages and cache completions back per request.
 // It reports false without answering anyone when the read fails.
+//
+// When the window holds a traced request the read is timed, and every traced
+// request is charged its own fetch_wait (submit to this dequeue) plus the
+// whole window's pread and decode: each one blocked on the entire read. An
+// untraced window passes a nil Timing and reads no clock.
 func (s *Server) serveMerged(disk int, sc *windowScratch) bool {
 	sc.ids = sc.ids[:0]
+	var timing store.Timing
+	var tm *store.Timing
+	var deq time.Time
 	for _, req := range sc.reqs {
 		sc.ids = append(sc.ids, req.ids...)
+		if req.tr != nil && tm == nil {
+			tm, deq = &timing, s.cfg.clock()
+		}
 	}
 	ctx := sc.reqs[0].ctx
 	cancel := context.CancelFunc(nil)
@@ -178,7 +191,7 @@ func (s *Server) serveMerged(disk int, sc *windowScratch) bool {
 		sc.recs = make([]geom.Flat, len(sc.ids))
 	}
 	sc.recs = sc.recs[:len(sc.ids)]
-	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, sc.ids, sc.recs, nil)
+	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, sc.ids, sc.recs, tm)
 	if cancel != nil {
 		cancel()
 	}
@@ -201,18 +214,23 @@ func (s *Server) serveMerged(disk int, sc *windowScratch) bool {
 				rp += pl.Pages
 			}
 		}
+		if req.tr != nil {
+			req.tr.add(stageFetchWait, deq.Sub(req.enq))
+			req.tr.add(stagePread, timing.Pread)
+			req.tr.add(stageDecode, timing.Decode)
+		}
 		s.publishLeads(req.ids, recs)
 		req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, recs: recs, disk: disk, pages: rp}
 	}
 	return true
 }
 
-// serveOne serves a single request: the pre-merge per-batch path, still used
-// for traced, expired, solitary and merge-ineligible requests, and as the
-// fallback when a merged read fails. Success is published to the cache
-// here; a failed batch's leads stay pending because the gather loop may
-// still fail the batch over to a surviving owner disk — only when every
-// route is exhausted does the gather loop complete them with the error.
+// serveOne serves a single request: the per-batch path for solitary,
+// expired and merge-ineligible requests, and the fallback when a merged read
+// fails. Success is published to the cache here; a failed batch's leads stay
+// pending because the gather loop may still fail the batch over to a
+// surviving owner disk — only when every route is exhausted does the gather
+// loop complete them with the error.
 func (s *Server) serveOne(disk int, req fetchReq) {
 	var tm *store.Timing
 	if req.tr != nil {
@@ -292,21 +310,9 @@ func (s *Server) readBatch(ctx context.Context, disk int, ids []int32, tm *store
 		}
 	}
 	recs := make([]geom.Flat, len(ids))
-	if !s.cfg.DisableCoalesce {
-		pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)
-		if err != nil {
-			return nil, 0, err
-		}
-		return recs, pages, nil
-	}
-	pages := 0
-	for i, id := range ids {
-		rec, p, err := s.st.ReadFlatFromTimed(ctx, disk, id, tm)
-		if err != nil {
-			return nil, 0, err
-		}
-		recs[i] = rec
-		pages += p
+	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)
+	if err != nil {
+		return nil, 0, err
 	}
 	return recs, pages, nil
 }

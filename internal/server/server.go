@@ -52,10 +52,6 @@ type Config struct {
 	// the page store. 0 selects the default (64 MiB); negative disables
 	// caching entirely.
 	CacheBytes int64
-	// DisableCoalesce turns off coalesced per-disk reads (store.ReadBuckets)
-	// and falls back to one ReadBucket call per bucket — the PR 1 behaviour,
-	// kept togglable so the bench can measure the coalescing win.
-	DisableCoalesce bool
 	// DisableNoDelay leaves Nagle's algorithm enabled on accepted
 	// connections. By default the server sets TCP_NODELAY explicitly: the
 	// protocol's frames are small and latency-sensitive, and the batched

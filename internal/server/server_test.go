@@ -301,60 +301,37 @@ func TestConcurrentRangeSharedCache(t *testing.T) {
 }
 
 // TestServerCacheDisabled proves CacheBytes < 0 turns caching off entirely:
-// queries still work, the snapshot has no cache block, and every repeat
-// fetch hits the disks again.
+// queries still work and report every bucket and nonzero pages, the
+// snapshot has no cache block, and every repeat fetch hits the disks again.
+// The 800-record, 3-disk input is large enough that per-disk batches span
+// several contiguous buckets, so the coalesced read covers multi-bucket runs.
 func TestServerCacheDisabled(t *testing.T) {
-	s, f := newTestServer(t, 300, 2, Config{CacheBytes: -1})
-	cl := newTestClient(t, s, ClientConfig{})
-	for i := 0; i < 3; i++ {
-		n, _, err := cl.RangeCount(f.Domain())
-		if err != nil {
-			t.Fatal(err)
+	for _, in := range []struct{ records, disks int }{{300, 2}, {800, 3}} {
+		s, f := newTestServer(t, in.records, in.disks, Config{CacheBytes: -1})
+		cl := newTestClient(t, s, ClientConfig{})
+		for i := 0; i < 3; i++ {
+			n, info, err := cl.RangeCount(f.Domain())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != f.Len() {
+				t.Fatalf("%+v: full-domain count = %d, want %d", in, n, f.Len())
+			}
+			if info.Buckets != len(f.Buckets()) || info.Pages == 0 {
+				t.Fatalf("%+v: info %+v, want %d buckets and nonzero pages", in, info, len(f.Buckets()))
+			}
 		}
-		if n != f.Len() {
-			t.Fatalf("full-domain count = %d, want %d", n, f.Len())
+		snap := s.Snapshot()
+		if snap.Cache != nil {
+			t.Errorf("%+v: cache stats present despite CacheBytes<0: %+v", in, snap.Cache)
 		}
-	}
-	snap := s.Snapshot()
-	if snap.Cache != nil {
-		t.Errorf("cache stats present despite CacheBytes<0: %+v", snap.Cache)
-	}
-	var fetches int64
-	for _, n := range snap.DiskFetches {
-		fetches += n
-	}
-	if want := int64(3 * len(f.Buckets())); fetches != want {
-		t.Errorf("disk fetches = %d, want %d (no caching)", fetches, want)
-	}
-}
-
-// TestServerCoalesceParity proves coalesced and per-bucket reads return the
-// same answers and page counts.
-func TestServerCoalesceParity(t *testing.T) {
-	_, dir := newTestLayout(t, 800, 3)
-	for _, disable := range []bool{false, true} {
-		s, err := OpenDir(dir, Config{DisableCoalesce: disable, CacheBytes: -1})
-		if err != nil {
-			t.Fatal(err)
+		var fetches int64
+		for _, n := range snap.DiskFetches {
+			fetches += n
 		}
-		cl, err := NewClient(ClientConfig{Addr: s.Addr().String()})
-		if err != nil {
-			s.Close()
-			t.Fatal(err)
+		if want := int64(3 * len(f.Buckets())); fetches != want {
+			t.Errorf("%+v: disk fetches = %d, want %d (no caching)", in, fetches, want)
 		}
-		grid, _ := store.OpenGrid(dir)
-		n, info, err := cl.RangeCount(grid.Domain())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != grid.Len() {
-			t.Errorf("disableCoalesce=%v: count %d, want %d", disable, n, grid.Len())
-		}
-		if info.Buckets != len(grid.Buckets()) || info.Pages == 0 {
-			t.Errorf("disableCoalesce=%v: info %+v", disable, info)
-		}
-		cl.Close()
-		s.Close()
 	}
 }
 

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -158,6 +160,78 @@ func TestTracingEndToEnd(t *testing.T) {
 			if !strings.Contains(ln, " "+name+"=") {
 				t.Errorf("slow-log line missing stage %s: %q", name, ln)
 			}
+		}
+	}
+}
+
+// TestMergedWindowTraced hands one disk worker a window of two live
+// requests for disjoint buckets, one of them traced, with the cache on: the
+// worker must serve both with one merged read, answer each with its own
+// records and page count, and charge the traced request the window's
+// fetch_wait, pread and decode. The server and store share a step clock, so
+// every charged stage is a deterministic nonzero count of clock reads.
+func TestMergedWindowTraced(t *testing.T) {
+	clk := &stepClock{step: 300}
+	s, f := newTestServer(t, 900, 2, Config{clock: clk.now})
+	s.st.SetClock(clk.now)
+
+	var onDisk0 []int32
+	for _, v := range f.Buckets() {
+		if pl, _ := s.st.Placement(v.ID); pl.Disk == 0 {
+			onDisk0 = append(onDisk0, v.ID)
+		}
+	}
+	if len(onDisk0) < 2 {
+		t.Fatalf("layout put %d buckets on disk 0, want >= 2", len(onDisk0))
+	}
+	half := len(onDisk0) / 2
+	sets := [][]int32{onDisk0[:half], onDisk0[half:]}
+	tr := new(Trace)
+	resp := make(chan fetchResp, len(sets))
+	merged := s.met.mergedFetches.Load()
+
+	// Queue both requests under one hold of the ring lock, so the worker's
+	// next swap drains them as a single window.
+	q := s.sched[0]
+	q.mu.Lock()
+	for i, ids := range sets {
+		req := fetchReq{ids: ids, idxs: make([]int, len(ids)), ctx: context.Background(), resp: resp}
+		if i == 0 {
+			req.tr, req.enq = tr, clk.now()
+		}
+		q.reqs = append(q.reqs, req)
+	}
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+
+	for range sets {
+		r := <-resp
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		wantPages := 0
+		for k, id := range r.ids {
+			pl, _ := s.st.Placement(id)
+			wantPages += pl.Pages
+			var want []float64
+			f.ForEachRecordInBucket(id, func(key []float64, _ []byte) { want = append(want, key...) })
+			if !slices.Equal(r.recs[k].Coords, want) {
+				t.Errorf("bucket %d: merged read returned %v, want %v", id, r.recs[k].Coords, want)
+			}
+		}
+		if r.pages != wantPages {
+			t.Errorf("request for buckets %v charged %d pages, want %d", r.ids, r.pages, wantPages)
+		}
+	}
+	if got := s.met.mergedFetches.Load() - merged; got != 2 {
+		t.Errorf("merged_fetches rose by %d, want 2 (one merged window)", got)
+	}
+	for _, st := range []int{stageFetchWait, stagePread, stageDecode} {
+		if tr.stages[st].Load() == 0 {
+			t.Errorf("traced request in a merged window recorded no %s", stageNames[st])
 		}
 	}
 }

@@ -83,7 +83,7 @@ func TestSingleDiskFailureLosesOnlyThatDisk(t *testing.T) {
 				var lost []int32
 				survived := map[[2]float64]int{}
 				for _, v := range f.Buckets() {
-					pts, _, err := s.ReadBucket(context.Background(), v.ID)
+					pts, _, err := readBucket(context.Background(), s, -1, v.ID)
 					if err != nil {
 						pl, ok := s.Placement(v.ID)
 						if !ok {
@@ -133,7 +133,7 @@ func TestSingleDiskFailureLosesOnlyThatDisk(t *testing.T) {
 				// the (intact) disk file.
 				reg.Clear()
 				for _, id := range lost {
-					pts, _, err := s.ReadBucket(context.Background(), id)
+					pts, _, err := readBucket(context.Background(), s, -1, id)
 					if err != nil {
 						t.Fatalf("%s/%s kill=%d: bucket %d still failing after Clear: %v",
 							dsName, algName, kill, id, err)
@@ -179,7 +179,7 @@ func TestInjectedDelayRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = s.ReadBucket(ctx, f.Buckets()[0].ID)
+	_, _, err = readBucket(ctx, s, -1, f.Buckets()[0].ID)
 	if err == nil {
 		t.Fatal("stalled read returned data before its context expired")
 	}
@@ -205,16 +205,13 @@ func TestTornReadIsDetectedNotSilent(t *testing.T) {
 	s.SetFaults(reg)
 
 	id := f.Buckets()[0].ID
-	if _, _, err := s.ReadBucket(context.Background(), id); !fault.IsInjected(err) {
-		t.Fatalf("torn ReadBucket: err=%v, want an injected-fault error", err)
-	}
-	if _, _, err := s.ReadBuckets(context.Background(), []int32{id}); !fault.IsInjected(err) {
-		t.Fatalf("torn ReadBuckets: err=%v, want an injected-fault error", err)
+	if _, _, err := readBucket(context.Background(), s, -1, id); !fault.IsInjected(err) {
+		t.Fatalf("torn read: err=%v, want an injected-fault error", err)
 	}
 	// Genuine corruption (no fault armed) must stay non-transient: the
 	// sentinel separates "retry me" from "your disk is bad".
 	reg.Clear()
-	if _, _, err := s.ReadBucket(context.Background(), id); err != nil {
+	if _, _, err := readBucket(context.Background(), s, -1, id); err != nil {
 		t.Fatalf("read still failing after Clear: %v", err)
 	}
 }

@@ -62,12 +62,12 @@ func TestWriteReplicatedRoundTrip(t *testing.T) {
 		if want := rm.Owners[i]; own[0] != want[0] || own[1] != want[1] {
 			t.Fatalf("bucket %d: owners %v, placer said %v", v.ID, own, want)
 		}
-		primary, _, err := s.ReadBucket(ctx, v.ID)
+		primary, _, err := readBucket(ctx, s, -1, v.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range own {
-			pts, _, err := s.ReadBucketFrom(ctx, d, v.ID)
+			pts, _, err := readBucket(ctx, s, d, v.ID)
 			if err != nil {
 				t.Fatalf("bucket %d copy on disk %d: %v", v.ID, d, err)
 			}
@@ -81,7 +81,7 @@ func TestWriteReplicatedRoundTrip(t *testing.T) {
 			if d == own[0] || d == own[1] {
 				continue
 			}
-			if _, _, err := s.ReadBucketFrom(ctx, d, v.ID); err == nil {
+			if _, _, err := readBucket(ctx, s, d, v.ID); err == nil {
 				t.Fatalf("bucket %d read from non-owner disk %d succeeded", v.ID, d)
 			}
 		}
@@ -109,21 +109,18 @@ func TestReadBucketsFromCoalesced(t *testing.T) {
 				}
 			}
 		}
-		got, _, err := s.ReadBucketsFrom(ctx, d, ids)
+		got, _, err := readBuckets(ctx, s, d, ids, nil)
 		if err != nil {
 			t.Fatalf("disk %d: %v", d, err)
 		}
-		if len(got) != len(ids) {
-			t.Fatalf("disk %d: %d buckets, want %d", d, len(got), len(ids))
-		}
-		for _, id := range ids {
-			want, _, err := s.ReadBucketFrom(ctx, d, id)
+		for k, id := range ids {
+			want, _, err := readBucket(ctx, s, d, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got[id]) != len(want) {
+			if len(got[k]) != len(want) {
 				t.Fatalf("disk %d bucket %d: batched read %d records, single read %d",
-					d, id, len(got[id]), len(want))
+					d, id, len(got[k]), len(want))
 			}
 		}
 		// One foreign id must fail the whole batch with a clear error.
@@ -137,7 +134,7 @@ func TestReadBucketsFromCoalesced(t *testing.T) {
 			if owned {
 				continue
 			}
-			if _, _, err := s.ReadBucketsFrom(ctx, d, []int32{v.ID}); err == nil {
+			if _, _, err := readBucket(ctx, s, d, v.ID); err == nil {
 				t.Fatalf("disk %d: batch containing foreign bucket %d succeeded", d, v.ID)
 			}
 			break
@@ -216,7 +213,7 @@ func TestManifestVersioning(t *testing.T) {
 			t.Fatalf("%s legacy layout reports checksummed pages", vintage)
 		}
 		for _, v := range f.Buckets() {
-			pts, _, err := s.ReadBucket(context.Background(), v.ID)
+			pts, _, err := readBucket(context.Background(), s, -1, v.ID)
 			if err != nil {
 				t.Fatalf("%s legacy bucket %d: %v", vintage, v.ID, err)
 			}

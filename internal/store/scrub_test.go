@@ -130,7 +130,7 @@ func TestScrubRepairsEveryPage(t *testing.T) {
 						t.Fatalf("page copy %v: disk %d not byte-identical after repair", pc, d)
 					}
 				}
-				if _, _, err := s.ReadBucket(ctx, pc.bucket); err != nil {
+				if _, _, err := readBucket(ctx, s, -1, pc.bucket); err != nil {
 					t.Fatalf("page copy %v: verified read after repair: %v", pc, err)
 				}
 			}

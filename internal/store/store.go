@@ -12,13 +12,14 @@
 // serves individual buckets with real file I/O, so experiments can be run
 // against actual per-disk files rather than in-memory structures.
 //
-// A Store is safe for concurrent readers: ReadBucket and ReadBuckets
-// address pages with pread-style ReadAt calls on per-disk file handles and
-// mutate no shared state, so any number of goroutines may fetch buckets
-// simultaneously — the property the network query service (internal/server)
-// relies on for its per-disk I/O goroutines. ReadBuckets additionally
-// coalesces buckets that are contiguous on disk into single large ReadAt
-// calls, cutting the syscall count of a multi-bucket query.
+// A Store is safe for concurrent readers: its one bucket-read method,
+// ReadFlatsFromTimed, addresses pages with pread-style ReadAt calls on
+// per-disk file handles and mutates no shared state, so any number of
+// goroutines may fetch buckets simultaneously — the property the network
+// query service (internal/server) relies on for its per-disk I/O
+// goroutines. It also coalesces buckets that are contiguous on disk into
+// single large ReadAt calls, cutting the syscall count of a multi-bucket
+// batch.
 package store
 
 import (
@@ -333,7 +334,7 @@ type Store struct {
 	// meaningful for checksummed layouts). Set before concurrent use.
 	verify bool
 
-	// now is the clock used by the timed read variants; a test hook
+	// now is the clock ReadFlatsFromTimed times reads with; a test hook
 	// (SetClock) can replace it.
 	now func() time.Time
 
@@ -459,8 +460,8 @@ func validatePlacement(pl Placement, disks, replicas int) error {
 }
 
 // OpenGrid loads the grid file embedded in a layout directory by Write.
-// Its bucket ids are the ones the manifest placements (and ReadBucket)
-// address.
+// Its bucket ids are the ones the manifest placements (and
+// ReadFlatsFromTimed) address.
 func OpenGrid(dir string) (*gridfile.File, error) {
 	fh, err := os.Open(filepath.Join(dir, gridFileName))
 	if err != nil {
@@ -609,16 +610,6 @@ func (s *Store) decodeBucketFlat(data []byte, pl Placement) (geom.Flat, error) {
 	return geom.Flat{Dims: dims, Coords: flat}, nil
 }
 
-// decodeBucket is the conventional-view decoder: the flat arena plus one
-// subslice header per point (two allocations per bucket).
-func (s *Store) decodeBucket(data []byte, pl Placement) ([]geom.Point, error) {
-	fl, err := s.decodeBucketFlat(data, pl)
-	if err != nil {
-		return nil, err
-	}
-	return fl.Points(), nil
-}
-
 // SetFaults attaches a failpoint registry consulted before every positioned
 // read, at both fault.SiteStoreRead and the per-disk site for the disk being
 // read. A nil registry (the default) disables injection entirely. Call this
@@ -643,7 +634,7 @@ func (s *Store) SetVerify(on bool) { s.verify = on }
 // (the format every new layout is written in).
 func (s *Store) Checksummed() bool { return s.manifest.PageFormat == pageFormatChecksum }
 
-// SetClock replaces the clock used by the timed read variants. Test hook:
+// SetClock replaces the clock ReadFlatsFromTimed times reads with. Test hook:
 // a deterministic step clock makes pread/decode timings exact. Call before
 // handing the Store to concurrent readers.
 func (s *Store) SetClock(now func() time.Time) { s.now = now }
@@ -697,168 +688,12 @@ func (s *Store) readAt(ctx context.Context, disk int, buf []byte, off int64) (to
 }
 
 // Timing splits a read's cost between raw positioned I/O (including injected
-// stalls) and page validation/decoding. The timed read variants accumulate
-// into it, so one Timing can cover a whole batch of calls. Callers that pass
-// nil pay no clock reads at all.
+// stalls) and page validation/decoding. ReadFlatsFromTimed accumulates into
+// it, so one Timing can cover a whole batch of calls. Callers that pass nil
+// pay no clock reads at all.
 type Timing struct {
 	Pread  time.Duration
 	Decode time.Duration
-}
-
-// ReadBucket fetches one bucket's keys from its disk file. The returned
-// slice is freshly allocated. It also reports the number of pages read
-// (the I/O the paper's response-time metric charges). ReadBucket is safe
-// for concurrent use: it reads with positioned ReadAt calls (pread) and
-// touches no mutable Store state. A bucket's pages are consecutive, so the
-// read is a single ReadAt regardless of bucket size. ctx bounds injected
-// stalls; a nil ctx is treated as background.
-func (s *Store) ReadBucket(ctx context.Context, id int32) ([]geom.Point, int, error) {
-	return s.ReadBucketTimed(ctx, id, nil)
-}
-
-// ReadBucketTimed is ReadBucket with an optional pread/decode time split
-// accumulated into tm (nil disables timing).
-func (s *Store) ReadBucketTimed(ctx context.Context, id int32, tm *Timing) ([]geom.Point, int, error) {
-	pl, ok := s.lookup(id)
-	if !ok {
-		return nil, 0, fmt.Errorf("store: unknown bucket %d", id)
-	}
-	return s.readOne(ctx, pl, tm)
-}
-
-// readOne reads and decodes a single placement (whichever copy pl points
-// at).
-func (s *Store) readOne(ctx context.Context, pl Placement, tm *Timing) ([]geom.Point, int, error) {
-	fl, pages, err := s.readOneFlat(ctx, pl, tm)
-	if err != nil {
-		return nil, 0, err
-	}
-	return fl.Points(), pages, nil
-}
-
-// readOneFlat is readOne in arena form: one allocation for the record data.
-func (s *Store) readOneFlat(ctx context.Context, pl Placement, tm *Timing) (geom.Flat, int, error) {
-	buf := getBuf(pl.Pages * s.manifest.PageBytes)
-	defer putBuf(buf)
-	var t0 time.Time
-	if tm != nil {
-		t0 = s.now()
-	}
-	torn, err := s.readAt(ctx, pl.Disk, buf, pl.Page*int64(s.manifest.PageBytes))
-	if tm != nil {
-		now := s.now()
-		tm.Pread += now.Sub(t0)
-		t0 = now
-	}
-	if err != nil {
-		return geom.Flat{}, 0, fmt.Errorf("store: reading bucket %d: %w", pl.ID, err)
-	}
-	fl, err := s.decodeBucketFlat(buf, pl)
-	if tm != nil {
-		tm.Decode += s.now().Sub(t0)
-	}
-	if err != nil {
-		if torn {
-			return geom.Flat{}, 0, fmt.Errorf("store: torn read of bucket %d: %w (%v)", pl.ID, fault.ErrInjected, err)
-		}
-		return geom.Flat{}, 0, err
-	}
-	return fl, pl.Pages, nil
-}
-
-// maxCoalesceBytes bounds one coalesced ReadAt so the pooled buffers stay a
-// sane size even when many large buckets are adjacent on disk.
-const maxCoalesceBytes = 1 << 20
-
-// ReadBuckets fetches a set of buckets with coalesced I/O: placements are
-// grouped per disk, sorted by page offset, and every run of contiguous
-// pages is read with a single ReadAt into a pooled buffer — the
-// disk-directed trick that turns a query's scattered per-bucket reads into
-// a few large sequential requests. It returns each bucket's decoded records
-// and the total number of pages read. Like ReadBucket it is safe for
-// concurrent use. Duplicate ids are fetched once. ctx bounds injected
-// stalls; a nil ctx is treated as background.
-func (s *Store) ReadBuckets(ctx context.Context, ids []int32) (map[int32][]geom.Point, int, error) {
-	return s.ReadBucketsTimed(ctx, ids, nil)
-}
-
-// ReadBucketsTimed is ReadBuckets with an optional pread/decode time split
-// accumulated into tm (nil disables timing).
-func (s *Store) ReadBucketsTimed(ctx context.Context, ids []int32, tm *Timing) (map[int32][]geom.Point, int, error) {
-	out := make(map[int32][]geom.Point, len(ids))
-	pls := make([]Placement, 0, len(ids))
-	for _, id := range ids {
-		pl, ok := s.lookup(id)
-		if !ok {
-			return nil, 0, fmt.Errorf("store: unknown bucket %d", id)
-		}
-		if _, dup := out[id]; dup {
-			continue
-		}
-		out[id] = nil
-		pls = append(pls, pl)
-	}
-	pages, err := s.readPlacements(ctx, pls, out, tm)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, pages, nil
-}
-
-// ReadBucketsFrom fetches a set of buckets from ONE specific owner disk with
-// the same coalescing as ReadBuckets. Every id must have a copy on that
-// disk; a replicated layout's secondary copies are addressed by their own
-// page offsets. This is the read path the server's per-disk I/O goroutines
-// use, so a failover retry against a surviving owner reads that owner's
-// copy rather than re-touching the failed disk.
-func (s *Store) ReadBucketsFrom(ctx context.Context, disk int, ids []int32) (map[int32][]geom.Point, int, error) {
-	return s.ReadBucketsFromTimed(ctx, disk, ids, nil)
-}
-
-// ReadBucketsFromTimed is ReadBucketsFrom with an optional pread/decode time
-// split accumulated into tm (nil disables timing).
-func (s *Store) ReadBucketsFromTimed(ctx context.Context, disk int, ids []int32, tm *Timing) (map[int32][]geom.Point, int, error) {
-	out := make(map[int32][]geom.Point, len(ids))
-	pls := make([]Placement, 0, len(ids))
-	for _, id := range ids {
-		pl, ok := s.lookup(id)
-		if !ok {
-			return nil, 0, fmt.Errorf("store: unknown bucket %d", id)
-		}
-		pl, ok = placementOn(pl, disk)
-		if !ok {
-			return nil, 0, fmt.Errorf("store: bucket %d has no copy on disk %d", id, disk)
-		}
-		if _, dup := out[id]; dup {
-			continue
-		}
-		out[id] = nil
-		pls = append(pls, pl)
-	}
-	pages, err := s.readPlacements(ctx, pls, out, tm)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, pages, nil
-}
-
-// ReadBucketFrom fetches one bucket's keys from a specific owner disk.
-func (s *Store) ReadBucketFrom(ctx context.Context, disk int, id int32) ([]geom.Point, int, error) {
-	return s.ReadBucketFromTimed(ctx, disk, id, nil)
-}
-
-// ReadBucketFromTimed fetches one bucket's keys from a specific owner disk,
-// with the same contract as ReadBucketTimed.
-func (s *Store) ReadBucketFromTimed(ctx context.Context, disk int, id int32, tm *Timing) ([]geom.Point, int, error) {
-	pl, ok := s.lookup(id)
-	if !ok {
-		return nil, 0, fmt.Errorf("store: unknown bucket %d", id)
-	}
-	pl, ok = placementOn(pl, disk)
-	if !ok {
-		return nil, 0, fmt.Errorf("store: bucket %d has no copy on disk %d", id, disk)
-	}
-	return s.readOne(ctx, pl, tm)
 }
 
 // placementOn rebinds a placement to the copy held by one specific owner
@@ -888,18 +723,22 @@ var plScratchPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// ReadFlatsFrom fetches a batch of buckets from ONE specific owner disk in
-// arena form: out[i] receives ids[i]'s records as a geom.Flat (one
-// allocation per bucket), with the same run coalescing as ReadBucketsFrom.
-// out must have at least len(ids) entries; ids must be distinct (the server
-// submits per-disk lead batches, which are). The return value is the total
-// number of pages read.
-func (s *Store) ReadFlatsFrom(ctx context.Context, disk int, ids []int32, out []geom.Flat) (int, error) {
-	return s.ReadFlatsFromTimed(ctx, disk, ids, out, nil)
-}
+// maxCoalesceBytes bounds one coalesced ReadAt so the pooled buffers stay a
+// sane size even when many large buckets are adjacent on disk.
+const maxCoalesceBytes = 1 << 20
 
-// ReadFlatsFromTimed is ReadFlatsFrom with an optional pread/decode time
-// split accumulated into tm (nil disables timing).
+// ReadFlatsFromTimed is the store's bucket-read API: it fetches a batch of
+// buckets from ONE specific owner disk, which must hold a copy of every id
+// (a replicated layout's secondary copies are addressed by their own page
+// offsets, so a failover retry reads the surviving owner's copy). out[i]
+// receives ids[i]'s records as a geom.Flat (one allocation per bucket); out
+// must have at least len(ids) entries and ids must be distinct. Buckets that
+// are contiguous on disk are read with a single ReadAt into a pooled buffer
+// (see readPlacementsFlat). The return value is the total number of pages
+// read — the I/O the paper's response-time metric charges. An optional tm
+// accumulates the pread/decode time split (nil disables timing). It is safe
+// for concurrent use; ctx bounds injected stalls and a nil ctx is treated as
+// background.
 func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, out []geom.Flat, tm *Timing) (int, error) {
 	sp := plScratchPool.Get().(*[]plIdx)
 	pls := (*sp)[:0]
@@ -924,45 +763,14 @@ func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, o
 	return pages, err
 }
 
-// ReadFlatFromTimed fetches one bucket's records from a specific owner disk
-// in arena form.
-func (s *Store) ReadFlatFromTimed(ctx context.Context, disk int, id int32, tm *Timing) (geom.Flat, int, error) {
-	pl, ok := s.lookup(id)
-	if !ok {
-		return geom.Flat{}, 0, fmt.Errorf("store: unknown bucket %d", id)
-	}
-	pl, ok = placementOn(pl, disk)
-	if !ok {
-		return geom.Flat{}, 0, fmt.Errorf("store: bucket %d has no copy on disk %d", id, disk)
-	}
-	return s.readOneFlat(ctx, pl, tm)
-}
-
-// readPlacements is the map-keyed compatibility form of the coalescing read
-// core; results land in out keyed by bucket id.
-func (s *Store) readPlacements(ctx context.Context, pls []Placement, out map[int32][]geom.Point, tm *Timing) (int, error) {
-	pidx := make([]plIdx, len(pls))
-	flats := make([]geom.Flat, len(pls))
-	for i, pl := range pls {
-		pidx[i] = plIdx{pl, i}
-	}
-	pages, err := s.readPlacementsFlat(ctx, pidx, flats, tm)
-	if err != nil {
-		return 0, err
-	}
-	for i, pl := range pls {
-		out[pl.ID] = flats[i].Points()
-	}
-	return pages, nil
-}
-
-// readPlacementsFlat is the shared coalescing read core: placements are
-// grouped per disk, sorted by page offset, and contiguous runs are read with
-// single ReadAt calls into a pooled scatter buffer. Each placement decodes
-// into out[its idx] in arena form. The sort order — and therefore the
-// sequence of positioned reads and failpoint evaluations — is identical to
-// the pre-flat implementation, which the deterministic campaign gate relies
-// on. The return value is the total number of pages read.
+// readPlacementsFlat is the coalescing read core: placements are sorted by
+// (disk, page offset) and every run of contiguous pages is read with a
+// single ReadAt into a pooled scatter buffer — the disk-directed trick that
+// turns a batch's scattered per-bucket reads into a few large sequential
+// requests. Each placement decodes into out[its idx] in arena form. The sort
+// order fixes the sequence of positioned reads and failpoint evaluations,
+// which the deterministic campaign gate relies on. The return value is the
+// total number of pages read.
 func (s *Store) readPlacementsFlat(ctx context.Context, pls []plIdx, out []geom.Flat, tm *Timing) (int, error) {
 	// slices.SortFunc rather than sort.Slice: no closure/Swapper allocations
 	// on the per-batch hot path. The comparison key (disk, then page) is a

@@ -34,6 +34,53 @@ func buildLayout(t *testing.T, disks, pageBytes int) (string, *gridfile.File, co
 	return dir, f, alloc
 }
 
+// readBuckets reads ids through ReadFlatsFromTimed, the store's one
+// bucket-read API, in one batch per disk (in disk order): every bucket comes
+// from its copy on disk, or from its primary copy when disk < 0. It returns
+// each bucket's records in ids order and the total pages read; tm is passed
+// through to every batch.
+func readBuckets(ctx context.Context, s *Store, disk int, ids []int32, tm *Timing) ([][]geom.Point, int, error) {
+	byDisk := make([][]int, s.Disks()) // disk -> positions in ids
+	for i, id := range ids {
+		d := disk
+		if d < 0 {
+			pl, _ := s.Placement(id) // an unknown id fails in the read
+			d = pl.Disk
+		}
+		byDisk[d] = append(byDisk[d], i)
+	}
+	out := make([][]geom.Point, len(ids))
+	pages := 0
+	for d, pos := range byDisk {
+		if len(pos) == 0 {
+			continue
+		}
+		batch := make([]int32, len(pos))
+		for k, i := range pos {
+			batch[k] = ids[i]
+		}
+		flats := make([]geom.Flat, len(batch))
+		p, err := s.ReadFlatsFromTimed(ctx, d, batch, flats, tm)
+		if err != nil {
+			return nil, 0, err
+		}
+		pages += p
+		for k, i := range pos {
+			out[i] = flats[k].Points()
+		}
+	}
+	return out, pages, nil
+}
+
+// readBucket reads one bucket as a single-id readBuckets batch.
+func readBucket(ctx context.Context, s *Store, disk int, id int32) ([]geom.Point, int, error) {
+	got, pages, err := readBuckets(ctx, s, disk, []int32{id}, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return got[0], pages, nil
+}
+
 func TestWriteAndReadBackAllBuckets(t *testing.T) {
 	dir, f, _ := buildLayout(t, 8, 4096)
 	s, err := Open(dir)
@@ -44,7 +91,7 @@ func TestWriteAndReadBackAllBuckets(t *testing.T) {
 
 	totalRecs := 0
 	for _, v := range f.Buckets() {
-		pts, pages, err := s.ReadBucket(context.Background(), v.ID)
+		pts, pages, err := readBucket(context.Background(), s, -1, v.ID)
 		if err != nil {
 			t.Fatalf("bucket %d: %v", v.ID, err)
 		}
@@ -123,7 +170,7 @@ func TestMultiPageBuckets(t *testing.T) {
 	defer s.Close()
 	multi := 0
 	for _, v := range f.Buckets() {
-		pts, pages, err := s.ReadBucket(context.Background(), v.ID)
+		pts, pages, err := readBucket(context.Background(), s, -1, v.ID)
 		if err != nil {
 			t.Fatalf("bucket %d: %v", v.ID, err)
 		}
@@ -182,7 +229,7 @@ func TestReadUnknownBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, err := s.ReadBucket(context.Background(), 99999); err == nil {
+	if _, _, err := readBucket(context.Background(), s, -1, 99999); err == nil {
 		t.Error("unknown bucket accepted")
 	}
 }
@@ -204,7 +251,7 @@ func TestDomainRoundTrip(t *testing.T) {
 	_ = geom.Rect(got)
 }
 
-// TestConcurrentReaders hammers ReadBucket from many goroutines at once;
+// TestConcurrentReaders hammers single-bucket reads from many goroutines at once;
 // under -race this is the regression test for the store's documented
 // concurrent-reader safety (the server's per-disk I/O goroutines depend
 // on it).
@@ -232,7 +279,7 @@ func TestConcurrentReaders(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				for j := range views {
 					v := views[(j+r)%len(views)] // stagger the access order
-					pts, _, err := s.ReadBucket(context.Background(), v.ID)
+					pts, _, err := readBucket(context.Background(), s, -1, v.ID)
 					if err != nil {
 						errs <- err
 						return
@@ -253,9 +300,10 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestReadBucketsMatchesReadBucket proves the coalesced multi-bucket read
-// returns exactly what per-bucket reads do, and charges the same page count.
-func TestReadBucketsMatchesReadBucket(t *testing.T) {
+// TestBatchedReadMatchesSingleReads proves a coalesced per-disk batch
+// returns exactly what single-bucket reads do, and charges the same page
+// count.
+func TestBatchedReadMatchesSingleReads(t *testing.T) {
 	for _, pageBytes := range []int{4096, 256} { // 256 forces multi-page buckets
 		dir, f, _ := buildLayout(t, 4, pageBytes)
 		s, err := Open(dir)
@@ -267,27 +315,24 @@ func TestReadBucketsMatchesReadBucket(t *testing.T) {
 		for _, v := range views {
 			ids = append(ids, v.ID)
 		}
-		got, pages, err := s.ReadBuckets(context.Background(), ids)
+		got, pages, err := readBuckets(context.Background(), s, -1, ids, nil)
 		if err != nil {
 			t.Fatalf("page=%d: %v", pageBytes, err)
 		}
-		if len(got) != len(ids) {
-			t.Fatalf("page=%d: %d buckets decoded, want %d", pageBytes, len(got), len(ids))
-		}
 		wantPages := 0
-		for _, id := range ids {
-			want, p, err := s.ReadBucket(context.Background(), id)
+		for k, id := range ids {
+			want, p, err := readBucket(context.Background(), s, -1, id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantPages += p
-			if len(got[id]) != len(want) {
+			if len(got[k]) != len(want) {
 				t.Fatalf("page=%d bucket %d: %d records, want %d",
-					pageBytes, id, len(got[id]), len(want))
+					pageBytes, id, len(got[k]), len(want))
 			}
 			for i := range want {
 				for d := range want[i] {
-					if got[id][i][d] != want[i][d] {
+					if got[k][i][d] != want[i][d] {
 						t.Fatalf("page=%d bucket %d record %d differs", pageBytes, id, i)
 					}
 				}
@@ -297,22 +342,17 @@ func TestReadBucketsMatchesReadBucket(t *testing.T) {
 			t.Errorf("page=%d: coalesced read charged %d pages, per-bucket %d",
 				pageBytes, pages, wantPages)
 		}
-		// Duplicates are fetched once; unknown ids fail.
-		dup, pages2, err := s.ReadBuckets(context.Background(), []int32{ids[0], ids[0]})
-		if err != nil || len(dup) != 1 {
-			t.Errorf("duplicate ids: %d buckets, %v", len(dup), err)
-		}
-		if _, p0, _ := s.ReadBucket(context.Background(), ids[0]); pages2 != p0 {
-			t.Errorf("duplicate ids charged %d pages, want %d", pages2, p0)
-		}
-		if _, _, err := s.ReadBuckets(context.Background(), []int32{ids[0], 99999}); err == nil {
+		// One unknown id fails the whole batch.
+		pl, _ := s.Placement(ids[0])
+		if _, err := s.ReadFlatsFromTimed(context.Background(), pl.Disk, []int32{ids[0], 99999},
+			make([]geom.Flat, 2), nil); err == nil {
 			t.Error("unknown bucket id accepted")
 		}
 		s.Close()
 	}
 }
 
-// TestTruncatedPageFile proves both read paths surface I/O errors instead
+// TestTruncatedPageFile proves single and batched reads surface I/O errors instead
 // of returning partial data when a disk file has been cut short.
 func TestTruncatedPageFile(t *testing.T) {
 	dir, f, _ := buildLayout(t, 2, 4096)
@@ -336,18 +376,18 @@ func TestTruncatedPageFile(t *testing.T) {
 	if len(onDisk0) < 2 {
 		t.Fatal("layout put fewer than 2 buckets on disk 0")
 	}
-	// The bucket past the surviving page must fail in both paths.
+	// The bucket past the surviving page must fail alone and in a batch.
 	victim := onDisk0[len(onDisk0)-1]
-	if _, _, err := s.ReadBucket(context.Background(), victim); err == nil {
-		t.Error("ReadBucket returned data from a truncated file")
+	if _, _, err := readBucket(context.Background(), s, -1, victim); err == nil {
+		t.Error("single read returned data from a truncated file")
 	}
-	if _, _, err := s.ReadBuckets(context.Background(), onDisk0); err == nil {
-		t.Error("ReadBuckets returned data from a truncated file")
+	if _, _, err := readBuckets(context.Background(), s, 0, onDisk0, nil); err == nil {
+		t.Error("batched read returned data from a truncated file")
 	}
 }
 
 // TestCorruptPageHeader flips a page's bucket-id header on disk and proves
-// both read paths detect the mismatch (the defence against a placement map
+// the read path detects the mismatch (the defence against a placement map
 // that disagrees with the page files).
 func TestCorruptPageHeader(t *testing.T) {
 	dir, f, _ := buildLayout(t, 2, 4096)
@@ -380,11 +420,8 @@ func TestCorruptPageHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, err := s.ReadBucket(context.Background(), victim); err == nil {
-		t.Error("ReadBucket accepted a page holding another bucket")
-	}
-	if _, _, err := s.ReadBuckets(context.Background(), []int32{victim}); err == nil {
-		t.Error("ReadBuckets accepted a page holding another bucket")
+	if _, _, err := readBucket(context.Background(), s, -1, victim); err == nil {
+		t.Error("read accepted a page holding another bucket")
 	}
 
 	// An implausible record count must be rejected too.
@@ -406,14 +443,14 @@ func TestCorruptPageHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, _, err := s2.ReadBucket(context.Background(), victim); err == nil {
-		t.Error("ReadBucket accepted an implausible record count")
+	if _, _, err := readBucket(context.Background(), s2, -1, victim); err == nil {
+		t.Error("read accepted an implausible record count")
 	}
 }
 
-// TestConcurrentBatchReaders hammers ReadBuckets (whose pooled buffers are
-// the shared-state risk) from many goroutines under -race, interleaved with
-// single-bucket reads.
+// TestConcurrentBatchReaders hammers whole-layout per-disk batches (whose
+// pooled buffers are the shared-state risk) from many goroutines under
+// -race, interleaved with single-bucket reads.
 func TestConcurrentBatchReaders(t *testing.T) {
 	dir, f, _ := buildLayout(t, 4, 512) // small pages: multi-page buckets in play
 	s, err := Open(dir)
@@ -438,13 +475,13 @@ func TestConcurrentBatchReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				if r%2 == 0 {
-					got, _, err := s.ReadBuckets(context.Background(), ids)
+					got, _, err := readBuckets(context.Background(), s, -1, ids, nil)
 					if err != nil {
 						errs <- err
 						return
 					}
-					for id, pts := range got {
-						if len(pts) != want[id] {
+					for k, pts := range got {
+						if id := ids[k]; len(pts) != want[id] {
 							errs <- fmt.Errorf("bucket %d: %d records, want %d",
 								id, len(pts), want[id])
 							return
@@ -452,7 +489,7 @@ func TestConcurrentBatchReaders(t *testing.T) {
 					}
 				} else {
 					for _, id := range ids {
-						pts, _, err := s.ReadBucket(context.Background(), id)
+						pts, _, err := readBucket(context.Background(), s, -1, id)
 						if err != nil {
 							errs <- err
 							return
@@ -474,9 +511,9 @@ func TestConcurrentBatchReaders(t *testing.T) {
 	}
 }
 
-// TestReadTiming proves the timed read variants split their cost into
-// pread and decode, return identical data to the untimed forms, and that a
-// nil Timing is accepted everywhere.
+// TestReadTiming proves a timed read splits its cost into pread and decode,
+// accumulates across calls, returns identical data to an untimed read, and
+// that a nil Timing is accepted.
 func TestReadTiming(t *testing.T) {
 	dir, f, _ := buildLayout(t, 4, 4096)
 	s, err := Open(dir)
@@ -492,32 +529,32 @@ func TestReadTiming(t *testing.T) {
 	}
 
 	var tm Timing
-	got, pages, err := s.ReadBucketsTimed(context.Background(), ids, &tm)
+	got, pages, err := readBuckets(context.Background(), s, -1, ids, &tm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(ids) || pages < len(ids) {
-		t.Fatalf("timed batch read: %d buckets / %d pages", len(got), pages)
+	if pages < len(ids) {
+		t.Fatalf("timed batch read: %d pages for %d buckets", pages, len(ids))
 	}
 	if tm.Pread <= 0 || tm.Decode <= 0 {
 		t.Errorf("batch Timing not populated: %+v", tm)
 	}
 
-	// The single-bucket form accumulates into the same Timing.
+	// A further read accumulates into the same Timing.
 	before := tm
-	pts, _, err := s.ReadBucketTimed(context.Background(), ids[0], &tm)
+	again, _, err := readBuckets(context.Background(), s, -1, ids[:1], &tm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != len(got[ids[0]]) {
-		t.Errorf("timed single read returned %d records, batch %d", len(pts), len(got[ids[0]]))
+	if len(again[0]) != len(got[0]) {
+		t.Errorf("timed single read returned %d records, batch %d", len(again[0]), len(got[0]))
 	}
 	if tm.Pread <= before.Pread || tm.Decode <= before.Decode {
 		t.Errorf("single-read Timing did not accumulate: %+v -> %+v", before, tm)
 	}
 
 	// nil Timing: same data, no timing requirement.
-	got2, pages2, err := s.ReadBucketsTimed(context.Background(), ids, nil)
+	got2, pages2, err := readBuckets(context.Background(), s, -1, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func verifyStoreMatchesGrid(t *testing.T, s *Store, f *gridfile.File) {
 	s.SetVerify(true)
 	total := 0
 	for _, v := range f.Buckets() {
-		pts, _, err := s.ReadBucket(context.Background(), v.ID)
+		pts, _, err := readBucket(context.Background(), s, -1, v.ID)
 		if err != nil {
 			t.Fatalf("bucket %d: %v", v.ID, err)
 		}

@@ -3,7 +3,8 @@
 # diffed across commits. Two suites:
 #
 #   server     (default) the serving path: end-to-end server throughput
-#              (baseline vs tuned: bucket cache + coalesced I/O; pipelined
+#              (baseline vs tuned: no bucket cache vs the default bucket
+#              cache, both over coalesced per-disk reads; pipelined
 #              variant), the open-loop rows (offered vs achieved qps and
 #              intended-send-time percentiles per scheme and replication
 #              factor) plus the grid-file translation micro-benchmarks

@@ -31,6 +31,9 @@
 #                  one iteration of the build-path benchmark; its parallel
 #                  variant asserts the engine assignment is byte-identical
 #                  to the serial reference
+#  15. perfbench   vet and test the repo benchmark, a separate Go module that
+#                  the root go build/test do not reach, so a store or server
+#                  API change that breaks it fails here
 #
 # The quick tier-1 gate (go build ./... && go test ./...) is a subset; run
 # this script before sending a PR. Usage: scripts/check.sh [fuzztime]
@@ -90,5 +93,8 @@ BENCH_SUITE=alloc sh scripts/bench.sh
 echo "== decluster smoke"
 go test -run '^$' -bench '^BenchmarkDecluster$/^minimax$/^N=1024$/^M=16$' \
     -benchtime 1x .
+
+echo "== perfbench (separate module)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "check.sh: all green"
