@@ -25,6 +25,7 @@ import (
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/experiments"
+	"pgridfile/internal/gridfile"
 	"pgridfile/internal/loadgen"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/server"
@@ -417,6 +418,41 @@ func BenchmarkReplayWorkload(b *testing.B) {
 	}
 }
 
+// writeServerBenchLayout builds the serving benchmarks' data set, a
+// 3000-record Uniform2D grid file, declusters it onto 8 disks with scheme
+// (a core.ParseAllocator name) at the given replication factor, and
+// returns the file and its layout directory.
+func writeServerBenchLayout(b *testing.B, scheme string, replicas int) (*gridfile.File, string) {
+	b.Helper()
+	f, err := synth.Uniform2D(3000, 7).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	allocator, err := core.ParseAllocator(scheme, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	alloc, err := allocator.Decluster(g, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if replicas > 1 {
+		rm, err := (&replica.Placer{Replicas: replicas}).Place(g, alloc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = store.WriteReplicated(dir, f, rm, 4096)
+	} else {
+		_, err = store.Write(dir, f, alloc, 4096)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f, dir
+}
+
 // BenchmarkServerThroughput measures end-to-end queries/second of the
 // network query service (internal/server) over real per-disk files, under
 // two declustering schemes and two server configurations: baseline (no
@@ -464,37 +500,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	for _, scheme := range []string{"minimax", "DM/D"} {
 		for _, c := range configs {
 			b.Run(strings.ReplaceAll(scheme, "/", "-")+"/"+c.name, func(b *testing.B) {
-				f, err := synth.Uniform2D(3000, 7).Build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				g := core.FromGridFile(f)
-				var allocator core.Allocator
-				if scheme == "minimax" {
-					allocator = &core.Minimax{Seed: 1}
-				} else {
-					allocator, err = core.NewIndexBased("DM", "D", 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				alloc, err := allocator.Decluster(g, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dir := b.TempDir()
-				if c.replicas > 1 {
-					p := replica.Placer{Replicas: c.replicas}
-					rm, err := p.Place(g, alloc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := store.WriteReplicated(dir, f, rm, 4096); err != nil {
-						b.Fatal(err)
-					}
-				} else if _, err := store.Write(dir, f, alloc, 4096); err != nil {
-					b.Fatal(err)
-				}
+				f, dir := writeServerBenchLayout(b, scheme, c.replicas)
 				s, err := server.OpenDir(dir, c.cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -586,37 +592,7 @@ func BenchmarkServerOpenLoop(b *testing.B) {
 		for _, replicas := range []int{1, 2} {
 			name := fmt.Sprintf("%s/r%d", strings.ReplaceAll(scheme, "/", "-"), replicas)
 			b.Run(name, func(b *testing.B) {
-				f, err := synth.Uniform2D(3000, 7).Build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				g := core.FromGridFile(f)
-				var allocator core.Allocator
-				if scheme == "minimax" {
-					allocator = &core.Minimax{Seed: 1}
-				} else {
-					allocator, err = core.NewIndexBased("DM", "D", 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				alloc, err := allocator.Decluster(g, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dir := b.TempDir()
-				if replicas > 1 {
-					p := replica.Placer{Replicas: replicas}
-					rm, err := p.Place(g, alloc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := store.WriteReplicated(dir, f, rm, 4096); err != nil {
-						b.Fatal(err)
-					}
-				} else if _, err := store.Write(dir, f, alloc, 4096); err != nil {
-					b.Fatal(err)
-				}
+				f, dir := writeServerBenchLayout(b, scheme, replicas)
 				s, err := server.OpenDir(dir, server.Config{MaxInflight: 64})
 				if err != nil {
 					b.Fatal(err)

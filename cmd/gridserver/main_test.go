@@ -249,19 +249,6 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 }
 
-func TestParseAllocatorNames(t *testing.T) {
-	for _, name := range []string{"minimax", "minimax-euclid", "ssp", "mst", "DM/D", "FX/R", "HCAM/F"} {
-		if _, err := parseAllocator(name, 1); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	for _, name := range []string{"", "bogus", "DM", "DM/X/Y"} {
-		if _, err := parseAllocator(name, 1); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
 // writeReplicatedTestLayout builds a small r-way replicated minimax layout
 // (checksummed pages, so it is writable).
 func writeReplicatedTestLayout(t *testing.T, records, disks, r int) string {

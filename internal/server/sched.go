@@ -1,11 +1,10 @@
 package server
 
-// Batched per-disk I/O submission. Queries no longer hand a disk goroutine
-// one request at a time over a channel; they append to the disk's request
-// ring and poke its worker. The worker drains the whole ring in one window,
-// answers already-expired requests cheaply, merges the rest into a single
-// coalesced store read when that is safe, and scatters completions back to
-// each query's response channel — out of order with respect to submission.
+// Batched per-disk I/O submission. Queries append to a disk's request ring
+// and poke its worker, which drains the whole ring as one window. Every
+// window takes one path: serveWindow decides which requests are read and
+// how, and readWindow does each read and scatters completions back to each
+// query's response channel, out of order with respect to submission.
 //
 // The window is deliberately shaped like an io_uring submission batch: a
 // future backend can take the same window, turn every placement run into an
@@ -88,9 +87,8 @@ func (q *diskQueue) close() {
 	}
 }
 
-// windowScratch is one worker's reusable buffers for merged windows.
+// windowScratch is one worker's reusable buffers for window reads.
 type windowScratch struct {
-	reqs []fetchReq
 	ids  []int32
 	recs []geom.Flat
 }
@@ -124,195 +122,146 @@ func (s *Server) diskWorker(disk int, q *diskQueue) {
 	}
 }
 
-// serveWindow serves one drained window. Expired requests go through the
-// individual path, which answers them without I/O; when two or more live
-// requests remain — traced or not — they are merged into a single coalesced
-// read. Merging requires the bucket cache: its singleflight guarantees
-// concurrent lead batches are disjoint, which the store's read API relies
-// on.
+// serveWindow serves one drained window. An expired request has abandoned
+// its fetch and is answered with its context error and no I/O, so a dead
+// backlog cannot starve live queries. Two or more live requests are read
+// once as one merged window with a single attempt; merging requires the
+// bucket cache, whose singleflight keeps concurrent lead sets disjoint as the
+// store's read API demands. When that read fails, or merging did not apply,
+// each live request is read alone with the full retry budget and a final
+// failure is answered with its error — so merging can only save I/O, never
+// change an answer.
 func (s *Server) serveWindow(disk int, window []fetchReq, sc *windowScratch) {
-	mergeOK := len(window) > 1 && s.cfg.slowFetch == 0 && s.bcache != nil
-	if !mergeOK {
-		for _, req := range window {
-			s.serveOne(disk, req)
+	live := window[:0]
+	for _, req := range window {
+		if err := req.ctx.Err(); err != nil {
+			s.traceSince(req.tr, stageFetchWait, req.enq)
+			req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, disk: disk, err: err}
+			continue
 		}
+		live = append(live, req)
+	}
+	if len(live) > 1 && s.bcache != nil && s.readWindow(disk, live, 0, sc) == nil {
 		return
 	}
-	sc.reqs = sc.reqs[:0]
-	for _, req := range window {
-		if req.ctx.Err() == nil {
-			sc.reqs = append(sc.reqs, req)
-		} else {
-			s.serveOne(disk, req)
-		}
-	}
-	switch {
-	case len(sc.reqs) == 0:
-	case len(sc.reqs) == 1:
-		s.serveOne(disk, sc.reqs[0])
-	case !s.serveMerged(disk, sc):
-		// The merged attempt failed (possibly on one request's deadline);
-		// each request retries individually under its own context with a
-		// fresh retry budget, so merging can only improve a window, never
-		// change its outcome. A traced request's fetch_wait then runs from
-		// submit to that retry: the failed merged read was time it spent
-		// queued, not reading its own batch.
-		for _, req := range sc.reqs {
-			s.serveOne(disk, req)
+	for i, req := range live {
+		if err := s.readWindow(disk, live[i:i+1], s.cfg.FetchRetries, sc); err != nil {
+			req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, disk: disk, err: err}
 		}
 	}
 }
 
-// serveMerged reads every window request's buckets in one coalesced store
-// call and scatters records, pages and cache completions back per request.
-// It reports false without answering anyone when the read fails.
+// readWindow reads every request's buckets from disk in one coalesced store
+// call under the first request's context, retrying a transient failure up to
+// retries times. On success it publishes the leads to the cache and answers
+// each request with its records and page count. On failure it answers no one
+// and returns the error; the leads stay pending, since the gather loop may
+// still fail the batch over to a surviving owner disk.
 //
-// When the window holds a traced request the read is timed, and every traced
-// request is charged its own fetch_wait (submit to this dequeue) plus the
-// whole window's pread and decode: each one blocked on the entire read. An
-// untraced window passes a nil Timing and reads no clock.
-func (s *Server) serveMerged(disk int, sc *windowScratch) bool {
+// Transient means an injected fault (torn reads included) or a per-attempt
+// timeout. A checksum mismatch is not retried here — rereading the same copy
+// returns the same bytes — but the gather loop fails it over to a replica.
+//
+// Only a traced window reads the clock. Each traced request is charged its
+// own fetch_wait (submit to dequeue) plus the whole read's pread, decode and
+// backoff, since it blocked on all of it.
+func (s *Server) readWindow(disk int, reqs []fetchReq, retries int, sc *windowScratch) error {
+	ctx := reqs[0].ctx
 	sc.ids = sc.ids[:0]
-	var timing store.Timing
 	var tm *store.Timing
 	var deq time.Time
-	for _, req := range sc.reqs {
+	for _, req := range reqs {
 		sc.ids = append(sc.ids, req.ids...)
 		if req.tr != nil && tm == nil {
-			tm, deq = &timing, s.cfg.clock()
+			tm, deq = new(store.Timing), s.cfg.clock()
 		}
-	}
-	ctx := sc.reqs[0].ctx
-	cancel := context.CancelFunc(nil)
-	if s.cfg.FetchTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.FetchTimeout)
 	}
 	if cap(sc.recs) < len(sc.ids) {
 		sc.recs = make([]geom.Flat, len(sc.ids))
 	}
 	sc.recs = sc.recs[:len(sc.ids)]
-	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, sc.ids, sc.recs, tm)
-	if cancel != nil {
-		cancel()
-	}
-	if err != nil {
-		return false
-	}
-	s.met.diskFetches[disk].Add(int64(len(sc.ids)))
-	s.met.pagesRead.Add(int64(pages))
-	s.met.mergedFetches.Add(int64(len(sc.reqs)))
-	off := 0
-	for _, req := range sc.reqs {
-		recs := make([]geom.Flat, len(req.ids))
-		copy(recs, sc.recs[off:off+len(req.ids)])
-		off += len(req.ids)
-		// Buckets never share pages, so each request's share of the merged
-		// read is exactly its placements' page count.
-		rp := 0
-		for _, id := range req.ids {
-			if pl, ok := s.st.Placement(id); ok {
-				rp += pl.Pages
-			}
-		}
-		if req.tr != nil {
-			req.tr.add(stageFetchWait, deq.Sub(req.enq))
-			req.tr.add(stagePread, timing.Pread)
-			req.tr.add(stageDecode, timing.Decode)
-		}
-		s.publishLeads(req.ids, recs)
-		req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, recs: recs, disk: disk, pages: rp}
-	}
-	return true
-}
 
-// serveOne serves a single request: the per-batch path for solitary,
-// expired and merge-ineligible requests, and the fallback when a merged read
-// fails. Success is published to the cache here; a failed batch's leads stay
-// pending because the gather loop may still fail the batch over to a
-// surviving owner disk — only when every route is exhausted does the gather
-// loop complete them with the error.
-func (s *Server) serveOne(disk int, req fetchReq) {
-	var tm *store.Timing
-	if req.tr != nil {
-		// Queue wait: submit to dequeue, i.e. time spent behind other
-		// batches on this spindle.
-		s.traceSince(req.tr, stageFetchWait, req.enq)
-		tm = new(store.Timing)
-	}
-	// The runtime/trace region brackets the whole batch (retries and
-	// backoff included) so `go tool trace` shows each disk worker's duty
-	// cycle. StartRegion is a no-op unless tracing is active.
-	region := rtrace.StartRegion(req.ctx, "gridserver.fetchBatch")
-	recs, pages, err := s.fetchBatch(req.ctx, disk, req.ids, req.tr, tm)
-	region.End()
-	if tm != nil {
-		req.tr.add(stagePread, tm.Pread)
-		req.tr.add(stageDecode, tm.Decode)
-	}
-	if err == nil {
-		s.met.diskFetches[disk].Add(int64(len(req.ids)))
-		s.met.pagesRead.Add(int64(pages))
-		s.publishLeads(req.ids, recs)
-	}
-	req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, recs: recs, disk: disk, pages: pages, err: err}
-}
-
-// fetchBatch runs one disk batch with the per-attempt deadline and the
-// bounded retry/backoff policy. Only transient failures are retried:
-// injected faults (including torn reads, which wrap fault.ErrInjected) and
-// per-attempt timeouts. Checksum mismatches are deliberately NOT retried
-// here — rereading the same corrupt copy returns the same bytes — but they
-// are transient to the gather loop, which fails them over to a surviving
-// replica. Structural corruption or unknown buckets fail immediately, and
-// an expired query stops retrying at once.
-func (s *Server) fetchBatch(ctx context.Context, disk int, ids []int32, tr *Trace, tm *store.Timing) ([]geom.Flat, int, error) {
+	// The runtime/trace region brackets the whole read (retries and backoff
+	// included) so `go tool trace` shows each disk worker's duty cycle.
+	// StartRegion is a no-op unless tracing is active.
+	region := rtrace.StartRegion(ctx, "gridserver.fetchBatch")
+	var pages int
+	var err error
 	for attempt := 1; ; attempt++ {
 		actx, cancel := ctx, context.CancelFunc(nil)
 		if s.cfg.FetchTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, s.cfg.FetchTimeout)
 		}
-		recs, pages, err := s.readBatch(actx, disk, ids, tm)
+		err = actx.Err()
+		for i := 0; err == nil && s.cfg.slowFetch > 0 && i < len(sc.ids); i++ {
+			time.Sleep(s.cfg.slowFetch)
+			err = actx.Err()
+		}
+		if err == nil {
+			pages, err = s.st.ReadFlatsFromTimed(actx, disk, sc.ids, sc.recs, tm)
+		}
 		if cancel != nil {
 			cancel()
 		}
 		if err == nil {
-			return recs, pages, nil
+			break
 		}
 		transient := fault.IsInjected(err) ||
 			(s.cfg.FetchTimeout > 0 && errors.Is(err, context.DeadlineExceeded))
-		if !transient || attempt > s.cfg.FetchRetries || ctx.Err() != nil {
-			return nil, 0, err
+		if !transient || attempt > retries || ctx.Err() != nil {
+			break
 		}
 		s.met.diskRetries.Add(1)
-		backoffStart := s.traceNow(tr)
+		var backoffStart time.Time
+		if tm != nil {
+			backoffStart = s.cfg.clock()
+		}
 		serr := fault.Sleep(ctx, retryDelay(s.cfg.FetchBackoff, attempt))
-		s.traceSince(tr, stageBackoff, backoffStart)
+		for _, req := range reqs {
+			s.traceSince(req.tr, stageBackoff, backoffStart)
+		}
 		if serr != nil {
-			return nil, 0, err
+			break
 		}
 	}
-}
+	region.End()
 
-// readBatch performs one disk's share of a query. A query whose deadline
-// already expired has abandoned the fetch; skipping the I/O (checked again
-// between simulated-latency sleeps) keeps its backlog from starving live
-// queries.
-func (s *Server) readBatch(ctx context.Context, disk int, ids []int32, tm *store.Timing) ([]geom.Flat, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	if s.cfg.slowFetch > 0 {
-		for range ids {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+	// A failed merged read charges nothing: its requests are read again
+	// alone, and each one's fetch_wait then runs from submit to that read.
+	if tm != nil && (err == nil || len(reqs) == 1) {
+		for _, req := range reqs {
+			if req.tr != nil {
+				req.tr.add(stageFetchWait, deq.Sub(req.enq))
+				req.tr.add(stagePread, tm.Pread)
+				req.tr.add(stageDecode, tm.Decode)
 			}
-			time.Sleep(s.cfg.slowFetch)
 		}
 	}
-	recs := make([]geom.Flat, len(ids))
-	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	return recs, pages, nil
+	s.met.diskFetches[disk].Add(int64(len(sc.ids)))
+	s.met.pagesRead.Add(int64(pages))
+	if len(reqs) > 1 {
+		s.met.mergedFetches.Add(int64(len(reqs)))
+	}
+	off := 0
+	for _, req := range reqs {
+		recs := make([]geom.Flat, len(req.ids))
+		off += copy(recs, sc.recs[off:])
+		rp := pages
+		if len(reqs) > 1 {
+			// Buckets never share pages, so each request's share of a
+			// merged read is exactly its placements' page count.
+			rp = 0
+			for _, id := range req.ids {
+				if pl, ok := s.st.Placement(id); ok {
+					rp += pl.Pages
+				}
+			}
+		}
+		s.publishLeads(req.ids, recs)
+		req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, recs: recs, disk: disk, pages: rp}
+	}
+	return nil
 }

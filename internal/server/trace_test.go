@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -11,6 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"pgridfile/internal/gridfile"
+	"pgridfile/internal/store"
+	"pgridfile/internal/synth"
 	"pgridfile/internal/workload"
 )
 
@@ -190,41 +194,22 @@ func TestMergedWindowTraced(t *testing.T) {
 	resp := make(chan fetchResp, len(sets))
 	merged := s.met.mergedFetches.Load()
 
-	// Queue both requests under one hold of the ring lock, so the worker's
-	// next swap drains them as a single window.
-	q := s.sched[0]
-	q.mu.Lock()
+	var window []fetchReq
 	for i, ids := range sets {
 		req := fetchReq{ids: ids, idxs: make([]int, len(ids)), ctx: context.Background(), resp: resp}
 		if i == 0 {
 			req.tr, req.enq = tr, clk.now()
 		}
-		q.reqs = append(q.reqs, req)
+		window = append(window, req)
 	}
-	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
+	queueWindow(s.sched[0], window)
 
 	for range sets {
 		r := <-resp
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
-		wantPages := 0
-		for k, id := range r.ids {
-			pl, _ := s.st.Placement(id)
-			wantPages += pl.Pages
-			var want []float64
-			f.ForEachRecordInBucket(id, func(key []float64, _ []byte) { want = append(want, key...) })
-			if !slices.Equal(r.recs[k].Coords, want) {
-				t.Errorf("bucket %d: merged read returned %v, want %v", id, r.recs[k].Coords, want)
-			}
-		}
-		if r.pages != wantPages {
-			t.Errorf("request for buckets %v charged %d pages, want %d", r.ids, r.pages, wantPages)
-		}
+		checkFetched(t, s, f, r)
 	}
 	if got := s.met.mergedFetches.Load() - merged; got != 2 {
 		t.Errorf("merged_fetches rose by %d, want 2 (one merged window)", got)
@@ -232,6 +217,110 @@ func TestMergedWindowTraced(t *testing.T) {
 	for _, st := range []int{stageFetchWait, stagePread, stageDecode} {
 		if tr.stages[st].Load() == 0 {
 			t.Errorf("traced request in a merged window recorded no %s", stageNames[st])
+		}
+	}
+}
+
+// queueWindow queues reqs under one hold of q's ring lock, so the worker's
+// next swap drains them as a single window.
+func queueWindow(q *diskQueue, reqs []fetchReq) {
+	q.mu.Lock()
+	q.reqs = append(q.reqs, reqs...)
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// checkFetched asserts that a successful fetch response carries exactly
+// each bucket's records and the request's page count.
+func checkFetched(t *testing.T, s *Server, f *gridfile.File, r fetchResp) {
+	t.Helper()
+	wantPages := 0
+	for k, id := range r.ids {
+		pl, _ := s.st.Placement(id)
+		wantPages += pl.Pages
+		var want []float64
+		f.ForEachRecordInBucket(id, func(key []float64, _ []byte) { want = append(want, key...) })
+		if !slices.Equal(r.recs[k].Coords, want) {
+			t.Errorf("bucket %d: read returned %v, want %v", id, r.recs[k].Coords, want)
+		}
+	}
+	if r.pages != wantPages {
+		t.Errorf("request for buckets %v charged %d pages, want %d", r.ids, r.pages, wantPages)
+	}
+}
+
+// TestWindowFailureIsolation hands one disk worker windows that mix an
+// already-cancelled request, a request whose bucket has a corrupt page and
+// a healthy request, on a checksummed layout with the cache on. The merged
+// read fails its checksum, so every answer must come from the split path:
+// the cancelled request gets its context error without I/O, the corrupt one
+// a checksum error, the healthy one its exact records and pages, and
+// merged_fetches does not move. A one-request window takes the same path.
+func TestWindowFailureIsolation(t *testing.T) {
+	const (
+		cancelled = iota
+		corrupt
+		healthy
+	)
+	f, err := synth.Uniform2D(900, 3).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, m := writeReplicatedDir(t, f, 1)
+	var onDisk0 []store.Placement
+	for _, pl := range m.Buckets {
+		if pl.Disk == 0 {
+			onDisk0 = append(onDisk0, pl)
+		}
+	}
+	if len(onDisk0) < 3 {
+		t.Fatalf("layout put %d buckets on disk 0, want >= 3", len(onDisk0))
+	}
+	victim := onDisk0[corrupt]
+	flipPage(t, dir, victim.Disk, victim.Page, m.PageBytes)
+	s, err := OpenDir(dir, Config{VerifyChecksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for _, kinds := range [][]int{{cancelled, corrupt, healthy}, {corrupt}} {
+		resp := make(chan fetchResp, len(kinds))
+		var window []fetchReq
+		for _, k := range kinds {
+			req := fetchReq{ids: []int32{onDisk0[k].ID}, idxs: []int{k}, ctx: context.Background(), resp: resp}
+			if k == cancelled {
+				req.ctx = dead
+			}
+			window = append(window, req)
+		}
+		merged := s.met.mergedFetches.Load()
+		queueWindow(s.sched[0], window)
+		for range kinds {
+			r := <-resp
+			switch r.idxs[0] {
+			case cancelled:
+				if !errors.Is(r.err, context.Canceled) {
+					t.Errorf("window %v: cancelled request got %v, want context.Canceled", kinds, r.err)
+				}
+			case corrupt:
+				if !store.IsChecksum(r.err) {
+					t.Errorf("window %v: corrupt request got %v, want a checksum error", kinds, r.err)
+				}
+			case healthy:
+				if r.err != nil {
+					t.Fatalf("window %v: healthy request failed: %v", kinds, r.err)
+				}
+				checkFetched(t, s, f, r)
+			}
+		}
+		if got := s.met.mergedFetches.Load() - merged; got != 0 {
+			t.Errorf("window %v: merged_fetches rose by %d, want 0 (the merged read failed)", kinds, got)
 		}
 	}
 }

@@ -34,6 +34,11 @@
 #  15. perfbench   vet and test the repo benchmark, a separate Go module that
 #                  the root go build/test do not reach, so a store or server
 #                  API change that breaks it fails here
+#  16. window race shake
+#                  the disk-window tests 20 times under the race detector:
+#                  window composition (expired, failing and healthy requests
+#                  drained together) depends on timing, which one -race
+#                  pass rarely varies
 #
 # The quick tier-1 gate (go build ./... && go test ./...) is a subset; run
 # this script before sending a PR. Usage: scripts/check.sh [fuzztime]
@@ -96,5 +101,8 @@ go test -run '^$' -bench '^BenchmarkDecluster$/^minimax$/^N=1024$/^M=16$' \
 
 echo "== perfbench (separate module)"
 (cd perfbench && go vet ./... && go test ./...)
+
+echo "== window race shake"
+go test -race -count=20 -run 'Window' ./internal/server
 
 echo "check.sh: all green"
