@@ -27,7 +27,6 @@ import (
 	"pgridfile/internal/experiments"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/loadgen"
-	"pgridfile/internal/replica"
 	"pgridfile/internal/server"
 	"pgridfile/internal/sim"
 	"pgridfile/internal/stats"
@@ -428,26 +427,10 @@ func writeServerBenchLayout(b *testing.B, scheme string, replicas int) (*gridfil
 	if err != nil {
 		b.Fatal(err)
 	}
-	allocator, err := core.ParseAllocator(scheme, 1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := core.FromGridFile(f)
-	alloc, err := allocator.Decluster(g, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
+	spec := store.DefaultLayoutSpec()
+	spec.Scheme, spec.Disks, spec.Replicas = scheme, 8, replicas
 	dir := b.TempDir()
-	if replicas > 1 {
-		rm, err := (&replica.Placer{Replicas: replicas}).Place(g, alloc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, err = store.WriteReplicated(dir, f, rm, 4096)
-	} else {
-		_, err = store.Write(dir, f, alloc, 4096)
-	}
-	if err != nil {
+	if _, err := store.Build(dir, f, spec); err != nil {
 		b.Fatal(err)
 	}
 	return f, dir

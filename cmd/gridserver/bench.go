@@ -17,12 +17,10 @@ import (
 	"time"
 
 	"pgridfile/internal/cache"
-	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/loadgen"
-	"pgridfile/internal/replica"
 	"pgridfile/internal/server"
 	"pgridfile/internal/stats"
 	"pgridfile/internal/store"
@@ -56,8 +54,7 @@ type benchOpts struct {
 	sweep    string           // "start:factor:steps" rate escalation
 	slo      time.Duration    // p99 bound for a sweep step to count as sustained
 
-	pipeline int  // requests in flight per connection (closed and open loop)
-	nodelay  bool // TCP_NODELAY on both ends
+	pipeline int // requests in flight per connection (closed and open loop)
 
 	// writeFrac mixes INSERTs into the closed loop: that fraction of the
 	// ops become writes with fresh keys. In-process servers open writable
@@ -152,7 +149,6 @@ func runBench(args []string, out io.Writer) error {
 	slo := fs.Duration("slo", 0, "p99 bound a sweep step must meet to count as sustained (0 disables)")
 	pipeline := fs.Int("pipeline", 1, "requests kept in flight per connection (1 = one-at-a-time)")
 	writeFrac := fs.Float64("write-frac", 0, "fraction of closed-loop ops sent as INSERTs (in-process servers open writable; remote servers need -writable)")
-	nodelay := fs.Bool("nodelay", true, "set TCP_NODELAY on bench connections (and the in-process server)")
 	fs.Parse(args)
 
 	arrivals, err := loadgen.ParseArrivals(*arrivalsFlag)
@@ -169,7 +165,7 @@ func runBench(args []string, out io.Writer) error {
 		openLoop: *openLoop || *sweep != "", rate: *rate, duration: *duration,
 		arrivals: arrivals, hot: *hot, hotFrac: *hotFrac,
 		sweep: *sweep, slo: *slo,
-		pipeline: *pipeline, nodelay: *nodelay,
+		pipeline:  *pipeline,
 		writeFrac: *writeFrac,
 	}
 	if opts.writeFrac < 0 || opts.writeFrac >= 1 {
@@ -243,43 +239,16 @@ func runBench(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		g := core.FromGridFile(f)
+		spec := store.LayoutSpec{Seed: opts.seed, Disks: *disks, PageBytes: *pageBytes}
 		for _, name := range strings.Split(*algs, ",") {
-			name = strings.TrimSpace(name)
-			allocator, err := core.ParseAllocator(name, opts.seed, 0)
-			if err != nil {
-				return err
-			}
-			alloc, err := allocator.Decluster(g, *disks)
-			if err != nil {
-				return err
-			}
+			spec.Scheme = strings.TrimSpace(name)
 			for _, r := range rlist {
-				tmp, err := os.MkdirTemp("", "gridserver-bench-")
-				if err != nil {
-					return err
-				}
-				if r > 1 {
-					placer := &replica.Placer{Replicas: r}
-					rm, err := placer.Place(g, alloc)
-					if err != nil {
-						os.RemoveAll(tmp)
-						return err
-					}
-					if _, err := store.WriteReplicated(tmp, f, rm, *pageBytes); err != nil {
-						os.RemoveAll(tmp)
-						return err
-					}
-				} else if _, err := store.Write(tmp, f, alloc, *pageBytes); err != nil {
-					os.RemoveAll(tmp)
-					return err
-				}
-				label := name
+				spec.Replicas = r
+				label := spec.Scheme
 				if len(rlist) > 1 {
-					label = fmt.Sprintf("%s r=%d", name, r)
+					label = fmt.Sprintf("%s r=%d", spec.Scheme, r)
 				}
-				rs, err := benchStore(tmp, label, opts)
-				os.RemoveAll(tmp)
+				rs, err := benchLayout(f, spec, label, opts)
 				if err != nil {
 					return err
 				}
@@ -300,16 +269,29 @@ func runBench(args []string, out io.Writer) error {
 	return nil
 }
 
+// benchLayout builds f's layout per spec in a temporary directory, benches
+// it in-process and removes it.
+func benchLayout(f *gridfile.File, spec store.LayoutSpec, label string, opts benchOpts) ([]benchRow, error) {
+	tmp, err := os.MkdirTemp("", "gridserver-bench-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(tmp)
+	if _, err := store.Build(tmp, f, spec); err != nil {
+		return nil, err
+	}
+	return benchStore(tmp, label, opts)
+}
+
 // benchStore serves a layout in-process on an ephemeral port and runs the
 // load against it.
 func benchStore(dir, label string, opts benchOpts) ([]benchRow, error) {
 	cfg := server.Config{
-		CacheBytes:     cacheFlag(opts.cacheBytes),
-		DisableNoDelay: !opts.nodelay,
-		Faults:         fault.NewRegistry(opts.faultSeed),
-		Degraded:       opts.degraded,
-		FetchRetries:   opts.fetchRetries,
-		Writable:       opts.writeFrac > 0,
+		CacheBytes:   cacheFlag(opts.cacheBytes),
+		Faults:       fault.NewRegistry(opts.faultSeed),
+		Degraded:     opts.degraded,
+		FetchRetries: opts.fetchRetries,
+		Writable:     opts.writeFrac > 0,
 	}
 	if opts.trace {
 		cfg.TraceSample = 1
@@ -329,7 +311,7 @@ func benchStore(dir, label string, opts benchOpts) ([]benchRow, error) {
 func benchAddr(addr, label string, opts benchOpts) ([]benchRow, error) {
 	c, err := server.NewClient(server.ClientConfig{
 		Addr: addr, PoolSize: opts.clients, RequestTimeout: opts.timeout,
-		Pipeline: opts.pipeline, DisableNoDelay: !opts.nodelay,
+		Pipeline: opts.pipeline,
 	})
 	if err != nil {
 		return nil, err

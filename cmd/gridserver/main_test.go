@@ -8,26 +8,22 @@ import (
 	"strings"
 	"testing"
 
-	"pgridfile/internal/core"
-	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 )
 
-// writeTestLayout builds a small minimax layout plus a standalone grid
-// file under t.TempDir.
-func writeTestLayout(t *testing.T, records, disks int) (layoutDir, gridPath string) {
+// writeTestLayout builds a small r-way minimax layout (checksummed pages,
+// so it is writable) plus a standalone grid file under t.TempDir.
+func writeTestLayout(t *testing.T, records, disks, r int) (layoutDir, gridPath string) {
 	t.Helper()
 	f, err := synth.Uniform2D(records, 11).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(core.FromGridFile(f), disks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := store.DefaultLayoutSpec()
+	spec.Disks, spec.Replicas = disks, r
 	layoutDir = filepath.Join(t.TempDir(), "layout")
-	if _, err := store.Write(layoutDir, f, alloc, 4096); err != nil {
+	if _, err := store.Build(layoutDir, f, spec); err != nil {
 		t.Fatal(err)
 	}
 	gridPath = filepath.Join(t.TempDir(), "test.grd")
@@ -47,7 +43,7 @@ func writeTestLayout(t *testing.T, records, disks int) (layoutDir, gridPath stri
 // TestBenchStoreMode serves a layout in-process and runs the closed-loop
 // load against it, asserting a clean (zero-error) report.
 func TestBenchStoreMode(t *testing.T) {
-	dir, _ := writeTestLayout(t, 600, 4)
+	dir, _ := writeTestLayout(t, 600, 4, 1)
 	var buf bytes.Buffer
 	err := runBench([]string{
 		"-store", dir, "-clients", "4", "-queries", "200", "-seed", "7",
@@ -77,7 +73,7 @@ func TestBenchStoreMode(t *testing.T) {
 // the -fault flag and degraded mode on: the run must finish with zero
 // errors, and the report's trailing column must count the partial answers.
 func TestBenchChaosMode(t *testing.T) {
-	dir, _ := writeTestLayout(t, 600, 4)
+	dir, _ := writeTestLayout(t, 600, 4, 1)
 	var buf bytes.Buffer
 	err := runBench([]string{
 		"-store", dir, "-clients", "4", "-queries", "200", "-seed", "7",
@@ -115,7 +111,7 @@ func TestBenchChaosMode(t *testing.T) {
 // server with pipelining on, and checks the report (table and JSON) carries
 // the offered/achieved rates and intended-send-time percentiles.
 func TestBenchOpenLoopMode(t *testing.T) {
-	dir, _ := writeTestLayout(t, 600, 4)
+	dir, _ := writeTestLayout(t, 600, 4, 1)
 	jsonPath := filepath.Join(t.TempDir(), "rows.json")
 	var buf bytes.Buffer
 	err := runBench([]string{
@@ -168,7 +164,7 @@ func TestBenchOpenLoopMode(t *testing.T) {
 // TestBenchSweepMode runs a two-step rate sweep and checks each step yields
 // a row with the sustained/knee annotations.
 func TestBenchSweepMode(t *testing.T) {
-	dir, _ := writeTestLayout(t, 400, 4)
+	dir, _ := writeTestLayout(t, 400, 4, 1)
 	jsonPath := filepath.Join(t.TempDir(), "rows.json")
 	var buf bytes.Buffer
 	err := runBench([]string{
@@ -206,21 +202,49 @@ func TestBenchSweepMode(t *testing.T) {
 	}
 }
 
-// TestBenchGridMode declusters one grid file under two schemes and
-// benchmarks both layouts, producing one comparison row per scheme.
+// TestBenchGridMode declusters one grid file under two schemes, at one and
+// at two replication factors, and benchmarks every layout: one clean
+// comparison row per scheme and factor, and the r=2 rows store every
+// bucket twice.
 func TestBenchGridMode(t *testing.T) {
-	_, grid := writeTestLayout(t, 500, 4)
-	var buf bytes.Buffer
-	err := runBench([]string{
-		"-grid", grid, "-algs", "minimax,DM/D", "-disks", "4",
-		"-clients", "2", "-queries", "120",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "minimax") || !strings.Contains(out, "DM/D") {
-		t.Errorf("comparison rows missing:\n%s", out)
+	_, grid := writeTestLayout(t, 500, 4, 1)
+	for _, tc := range []struct {
+		replicas string
+		rows     []string
+	}{
+		{"1", []string{"minimax", "DM/D"}},
+		{"1,2", []string{"minimax r=1", "minimax r=2", "DM/D r=1", "DM/D r=2"}},
+	} {
+		jsonPath := filepath.Join(t.TempDir(), "rows.json")
+		err := runBench([]string{
+			"-grid", grid, "-algs", "minimax,DM/D", "-disks", "4", "-replicas", tc.replicas,
+			"-clients", "2", "-queries", "120", "-json", jsonPath,
+		}, &bytes.Buffer{})
+		if err != nil {
+			t.Fatalf("-replicas %s: %v", tc.replicas, err)
+		}
+		data, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []benchRow
+		if err := json.Unmarshal(data, &rows); err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(tc.rows) {
+			t.Fatalf("-replicas %s: %d rows, want %v", tc.replicas, len(rows), tc.rows)
+		}
+		for i, row := range rows {
+			if row.Scheme != tc.rows[i] {
+				t.Errorf("-replicas %s: row %d is %q, want %q", tc.replicas, i, row.Scheme, tc.rows[i])
+			}
+			if row.Errors != 0 {
+				t.Errorf("%s: %d errors", row.Scheme, row.Errors)
+			}
+			if strings.HasSuffix(tc.rows[i], "r=2") && (row.Replicas != 2 || row.WriteAmp != 2) {
+				t.Errorf("%s: replicas %d, write amplification %g, want 2 and 2", row.Scheme, row.Replicas, row.WriteAmp)
+			}
+		}
 	}
 }
 
@@ -228,7 +252,7 @@ func TestBenchFlagValidation(t *testing.T) {
 	if err := runBench(nil, &bytes.Buffer{}); err == nil {
 		t.Error("no mode flag accepted")
 	}
-	dir, grid := writeTestLayout(t, 200, 2)
+	dir, grid := writeTestLayout(t, 200, 2, 1)
 	if err := runBench([]string{"-store", dir, "-grid", grid}, &bytes.Buffer{}); err == nil {
 		t.Error("two mode flags accepted")
 	}
@@ -249,35 +273,11 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 }
 
-// writeReplicatedTestLayout builds a small r-way replicated minimax layout
-// (checksummed pages, so it is writable).
-func writeReplicatedTestLayout(t *testing.T, records, disks, r int) string {
-	t.Helper()
-	f, err := synth.Uniform2D(records, 11).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := core.FromGridFile(f)
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm, err := (&replica.Placer{Replicas: r}).Place(g, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "layout")
-	if _, err := store.WriteReplicated(dir, f, rm, 4096); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
 // TestIngestCrashReplay runs the ingest subcommand with one disk's page
 // writes killed: the JSON report must show zero lost acks, a clean scrub,
 // and a replay that actually happened.
 func TestIngestCrashReplay(t *testing.T) {
-	dir := writeReplicatedTestLayout(t, 600, 4, 2)
+	dir, _ := writeTestLayout(t, 600, 4, 2)
 	var buf bytes.Buffer
 	err := runIngest([]string{
 		"-store", dir, "-n", "500", "-seed", "3",
@@ -311,7 +311,7 @@ func TestIngestFlagValidation(t *testing.T) {
 // in-process writable server; the JSON rows must carry the acked write and
 // journal counters.
 func TestBenchWriteFrac(t *testing.T) {
-	dir := writeReplicatedTestLayout(t, 600, 4, 2)
+	dir, _ := writeTestLayout(t, 600, 4, 2)
 	jsonPath := filepath.Join(t.TempDir(), "rows.json")
 	var buf bytes.Buffer
 	err := runBench([]string{

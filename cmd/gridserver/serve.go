@@ -51,7 +51,6 @@ func runServe(args []string) error {
 	fetchBackoff := fs.Duration("fetch-backoff", 2*time.Millisecond, "base backoff between disk-batch retries")
 	traceSample := fs.Int("trace-sample", 0, "stage-trace every Nth query (1 traces all, 0 disables tracing)")
 	traceSlow := fs.Duration("trace-slow", -1, "log traced queries at least this slow to stderr (0 logs every traced query, <0 disables the log)")
-	nodelay := fs.Bool("nodelay", true, "set TCP_NODELAY on accepted connections (disable to let Nagle batch small frames)")
 	pipelineDepth := fs.Int("pipeline-depth", 0, "per-connection bound on queued responses and concurrent tagged requests (0 = default 64)")
 	verify := fs.Bool("verify-checksums", false, "verify per-page checksums on every read (layout must carry page format 2)")
 	scrubInterval := fs.Duration("scrub-interval", 0, "background checksum scrub period; repairs corrupt pages from replicas (0 disables)")
@@ -82,7 +81,6 @@ func runServe(args []string) error {
 		TraceSample:     *traceSample,
 		TraceSlowLog:    *traceSlow >= 0,
 		TraceSlow:       max(*traceSlow, 0),
-		DisableNoDelay:  !*nodelay,
 		PipelineDepth:   *pipelineDepth,
 		VerifyChecksums: *verify,
 		ScrubInterval:   *scrubInterval,

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 
-	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
-	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
 )
 
@@ -21,7 +19,7 @@ func runLayout(args []string) error {
 	seed := fs.Int64("seed", 1, "seed for randomized phases")
 	out := fs.String("out", "", "layout directory (required)")
 	workers := fs.Int("workers", 0, "build worker goroutines for proximity-based algorithms (0 = GOMAXPROCS)")
-	replicas := fs.Int("replicas", 1, "copies of every bucket, each on a distinct disk (1 = no replication)")
+	replicas := fs.Int("replicas", 1, "copies of every bucket, each on a distinct disk (>= 1; 1 = no replication)")
 	fs.Parse(args)
 	if *path == "" || *out == "" {
 		return fmt.Errorf("layout: -file and -out are required")
@@ -30,31 +28,12 @@ func runLayout(args []string) error {
 	if err != nil {
 		return err
 	}
-	allocator, err := core.ParseAllocator(*alg, *seed, *workers)
+	m, err := store.Build(*out, f, store.LayoutSpec{
+		Scheme: *alg, Seed: *seed, Workers: *workers,
+		Disks: *disks, Replicas: *replicas, PageBytes: *pageBytes,
+	})
 	if err != nil {
 		return err
-	}
-	g := core.FromGridFile(f)
-	alloc, err := allocator.Decluster(g, *disks)
-	if err != nil {
-		return err
-	}
-	var m *store.Manifest
-	if *replicas > 1 {
-		placer := &replica.Placer{Replicas: *replicas, Workers: *workers}
-		rm, err := placer.Place(g, alloc)
-		if err != nil {
-			return err
-		}
-		m, err = store.WriteReplicated(*out, f, rm, *pageBytes)
-		if err != nil {
-			return err
-		}
-	} else {
-		m, err = store.Write(*out, f, alloc, *pageBytes)
-		if err != nil {
-			return err
-		}
 	}
 
 	sizes, err := verifyLayout(*out, f.Len())
@@ -63,10 +42,10 @@ func runLayout(args []string) error {
 	}
 	if *replicas > 1 {
 		fmt.Printf("laid out %d buckets (%d records) over %d disks with %s, %d copies each\n",
-			len(m.Buckets), f.Len(), *disks, allocator.Name(), *replicas)
+			len(m.Buckets), f.Len(), *disks, *alg, *replicas)
 	} else {
 		fmt.Printf("laid out %d buckets (%d records) over %d disks with %s\n",
-			len(m.Buckets), f.Len(), *disks, allocator.Name())
+			len(m.Buckets), f.Len(), *disks, *alg)
 	}
 	fmt.Printf("pages per disk: %v\n", sizes)
 	fmt.Printf("layout is self-contained (grid.grd embedded); serve it with: gridserver serve -store %s\n", *out)

@@ -8,43 +8,70 @@ import (
 	"strings"
 	"testing"
 
-	"pgridfile/internal/core"
 	"pgridfile/internal/gridfile"
-	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 )
 
-const testPageBytes = 4096
-
-// writeTestLayout declusters a small uniform grid file over 4 disks with
-// minimax and writes it at replication factor r.
+// writeTestLayout writes a small uniform grid file's default (minimax,
+// 4-disk) layout at replication factor r.
 func writeTestLayout(t *testing.T, r int) (*gridfile.File, string, *store.Manifest) {
 	t.Helper()
 	f, err := synth.Uniform2D(600, 3).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := core.FromGridFile(f)
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := store.DefaultLayoutSpec()
+	spec.Replicas = r
 	dir := t.TempDir()
-	var m *store.Manifest
-	if r > 1 {
-		rm, perr := (&replica.Placer{Replicas: r}).Place(g, alloc)
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		m, err = store.WriteReplicated(dir, f, rm, testPageBytes)
-	} else {
-		m, err = store.Write(dir, f, alloc, testPageBytes)
-	}
+	m, err := store.Build(dir, f, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f, dir, m
+}
+
+// TestRunLayoutReplicas drives the layout subcommand end to end: a
+// replication factor below 1 is an error rather than a silently
+// unreplicated layout, and -replicas 2 yields a layout the store opens
+// with two copies per bucket.
+func TestRunLayoutReplicas(t *testing.T) {
+	f, err := synth.Uniform2D(600, 3).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := filepath.Join(t.TempDir(), "test.grd")
+	fh, err := os.Create(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteTo(fh); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	layout := func(r string) (string, error) {
+		out := filepath.Join(t.TempDir(), "layout")
+		return out, runLayout([]string{"-file", grid, "-disks", "4", "-replicas", r, "-out", out})
+	}
+	for _, r := range []string{"0", "-1"} {
+		if _, err := layout(r); err == nil || !strings.Contains(err.Error(), "replicas must be >= 1") {
+			t.Errorf("-replicas %s: err = %v, want the placer's replicas >= 1 error", r, err)
+		}
+	}
+	out, err := layout("2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Replicas() != 2 {
+		t.Errorf("Replicas() = %d, want 2", s.Replicas())
+	}
 }
 
 // TestVerifyLayoutFresh proves a freshly written layout passes verification
@@ -90,7 +117,7 @@ func TestVerifyLayoutCatchesDivergentCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := data[pl.OwnerPages[1]*testPageBytes:][:testPageBytes]
+	page := data[pl.OwnerPages[1]*int64(m.PageBytes):][:m.PageBytes]
 	page[16] ^= 0x01 // low byte of the first record's first coordinate
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

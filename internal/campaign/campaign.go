@@ -31,11 +31,9 @@ import (
 	"strings"
 	"time"
 
-	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/loadgen"
-	"pgridfile/internal/replica"
 	"pgridfile/internal/server"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
@@ -176,29 +174,12 @@ type layout struct {
 	pristine map[string][]byte
 }
 
-func buildLayout(root string, idx int, f *gridfile.File, g core.Grid, scheme string, r int, opts Options) (*layout, error) {
-	alloc, err := core.ParseAllocator(scheme, opts.Seed, 0)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: scheme %q: %v", scheme, err)
-	}
-	a, err := alloc.Decluster(g, opts.Disks)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: decluster %s: %v", scheme, err)
-	}
+func buildLayout(root string, idx int, f *gridfile.File, scheme string, r int, opts Options) (*layout, error) {
 	dir := filepath.Join(root, fmt.Sprintf("layout%02d-r%d", idx, r))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	var m *store.Manifest
-	if r == 1 {
-		m, err = store.Write(dir, f, a, opts.PageBytes)
-	} else {
-		var rm *replica.Map
-		rm, err = (&replica.Placer{Replicas: r}).Place(g, a)
-		if err == nil {
-			m, err = store.WriteReplicated(dir, f, rm, opts.PageBytes)
-		}
-	}
+	m, err := store.Build(dir, f, store.LayoutSpec{
+		Scheme: scheme, Seed: opts.Seed,
+		Disks: opts.Disks, Replicas: r, PageBytes: opts.PageBytes,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: layout %s r=%d: %v", scheme, r, err)
 	}
@@ -293,7 +274,6 @@ func Run(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := core.FromGridFile(f)
 	root, err := os.MkdirTemp("", "campaign-")
 	if err != nil {
 		return nil, err
@@ -307,7 +287,7 @@ func Run(opts Options) (*Report, error) {
 	layouts := make(map[layoutKey]*layout)
 	for si, scheme := range opts.Schemes {
 		for _, r := range opts.Replicas {
-			l, err := buildLayout(root, si, f, g, scheme, r, opts)
+			l, err := buildLayout(root, si, f, scheme, r, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -5,47 +5,20 @@ import (
 	"testing"
 	"time"
 
-	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
 	"pgridfile/internal/gridfile"
-	"pgridfile/internal/replica"
-	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 )
 
-// replicaAllocators mirrors the store package's single-disk-failure matrix:
-// one of each allocator family.
-func replicaAllocators(t *testing.T) map[string]core.Allocator {
-	t.Helper()
-	m := map[string]core.Allocator{
-		"minimax": &core.Minimax{Seed: 1},
-		"ssp":     &core.SSP{Seed: 1},
-		"mst":     &core.MST{Seed: 1},
-	}
-	for _, name := range []struct{ scheme, resolver string }{
-		{"DM", "D"}, {"FX", "R"}, {"HCAM", "F"},
-	} {
-		a, err := core.NewIndexBased(name.scheme, name.resolver, 1)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", name.scheme, name.resolver, err)
-		}
-		m[name.scheme+"/"+name.resolver] = a
-	}
-	return m
-}
+// replicaSchemes mirrors the store package's single-disk-failure matrix:
+// one of each allocator family, as core.ParseAllocator names.
+var replicaSchemes = []string{"minimax", "ssp", "mst", "DM/D", "FX/R", "HCAM/F"}
 
-// newReplicatedServer lays out f with alloc at replication factor r and
-// serves it with the given config.
-func newReplicatedServer(t *testing.T, f *gridfile.File, g core.Grid, alloc core.Allocation, r int, cfg Config) *Server {
+// newReplicatedServer lays out f with scheme over 4 disks at replication
+// factor r and serves it with the given config.
+func newReplicatedServer(t *testing.T, f *gridfile.File, scheme string, r int, cfg Config) *Server {
 	t.Helper()
-	rm, err := (&replica.Placer{Replicas: r}).Place(g, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := store.WriteReplicated(dir, f, rm, 4096); err != nil {
-		t.Fatal(err)
-	}
+	dir, _ := writeLayout(t, f, scheme, 4, r)
 	s, err := OpenDir(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,15 +45,10 @@ func TestReplicatedKillAnyDiskFullAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := core.FromGridFile(f)
 		want := f.Len()
-		for algName, alg := range replicaAllocators(t) {
-			alloc, err := alg.Decluster(g, disks)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", dsName, algName, err)
-			}
+		for _, algName := range replicaSchemes {
 			reg := fault.NewRegistry(1)
-			s := newReplicatedServer(t, f, g, alloc, 2, Config{
+			s := newReplicatedServer(t, f, algName, 2, Config{
 				Faults:       reg,
 				Degraded:     true,
 				FetchRetries: 1,
@@ -131,19 +99,13 @@ func TestReplicatedKillAnyDiskFullAnswers(t *testing.T) {
 // of degraded serving: with Degraded off, a dead disk in an r=2 layout still
 // yields complete answers instead of hard errors.
 func TestReplicatedFailoverWithoutDegradedMode(t *testing.T) {
-	const disks = 4
 	f, err := synth.Uniform2D(900, 3).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := core.FromGridFile(f)
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, disks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := fault.NewRegistry(1)
 	reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(2), Kind: fault.KindError})
-	s := newReplicatedServer(t, f, g, alloc, 2, Config{
+	s := newReplicatedServer(t, f, "minimax", 2, Config{
 		Faults:       reg,
 		FetchRetries: 1,
 		FetchBackoff: time.Millisecond,
@@ -166,19 +128,13 @@ func TestReplicatedFailoverWithoutDegradedMode(t *testing.T) {
 // snapshot and the Prometheus endpoint with plausible values, including the
 // replica-overhead gauges.
 func TestReplicaMetricsExposition(t *testing.T) {
-	const disks = 4
 	f, err := synth.Uniform2D(900, 3).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := core.FromGridFile(f)
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, disks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := fault.NewRegistry(1)
 	reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(0), Kind: fault.KindError})
-	s := newReplicatedServer(t, f, g, alloc, 2, Config{
+	s := newReplicatedServer(t, f, "minimax", 2, Config{
 		Faults:       reg,
 		Degraded:     true,
 		FetchRetries: 1,

@@ -9,41 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"pgridfile/internal/core"
-	"pgridfile/internal/gridfile"
-	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 )
-
-// writeReplicatedDir lays out f at replication factor r and returns the
-// layout directory plus the manifest (whose placements locate every page
-// copy on disk).
-func writeReplicatedDir(t *testing.T, f *gridfile.File, r int) (string, *store.Manifest) {
-	t.Helper()
-	g := core.FromGridFile(f)
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if r == 1 {
-		m, err := store.Write(dir, f, alloc, 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dir, m
-	}
-	rm, err := (&replica.Placer{Replicas: r}).Place(g, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := store.WriteReplicated(dir, f, rm, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dir, m
-}
 
 // flipPage XOR-damages one byte in the middle of a page file's page.
 func flipPage(t *testing.T, dir string, disk int, page int64, pageBytes int) {
@@ -76,7 +44,7 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, m := writeReplicatedDir(t, f, 2)
+	dir, m := writeLayout(t, f, "minimax", 4, 2)
 
 	// Corrupt the primary copy of the first bucket: an idle server's
 	// load-aware read selection prefers primaries, so queries will hit it.
@@ -149,7 +117,7 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, m := writeReplicatedDir(t, f, 1)
+	dir, m := writeLayout(t, f, "minimax", 4, 1)
 	victim := m.Buckets[0]
 	flipPage(t, dir, victim.Disk, victim.Page, m.PageBytes)
 
@@ -192,7 +160,7 @@ func TestBackgroundScrubLoopRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, m := writeReplicatedDir(t, f, 2)
+	dir, m := writeLayout(t, f, "minimax", 4, 2)
 	victim := m.Buckets[0]
 	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], m.PageBytes)
 
@@ -229,7 +197,7 @@ func TestVerifyRequiresChecksummedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, m := writeReplicatedDir(t, f, 1)
+	dir, m := writeLayout(t, f, "minimax", 4, 1)
 	stripChecksums(t, dir, m)
 	if _, err := OpenDir(dir, Config{VerifyChecksums: true}); err == nil {
 		t.Error("VerifyChecksums accepted on a checksum-free layout")

@@ -52,12 +52,6 @@ type Config struct {
 	// the page store. 0 selects the default (64 MiB); negative disables
 	// caching entirely.
 	CacheBytes int64
-	// DisableNoDelay leaves Nagle's algorithm enabled on accepted
-	// connections. By default the server sets TCP_NODELAY explicitly: the
-	// protocol's frames are small and latency-sensitive, and the batched
-	// writev path already coalesces adjacent responses into one syscall, so
-	// Nagle only adds delayed-ACK stalls on top (see DESIGN S26).
-	DisableNoDelay bool
 	// PipelineDepth bounds, per connection, both the response queue between
 	// the read and write sides and the number of tagged (pipelined) requests
 	// executing concurrently. Beyond it the reader stops draining the
@@ -570,9 +564,6 @@ const maxWriteBatch = 64
 // closes the connection; a request-level error is answered and the
 // connection kept.
 func (s *Server) handleConn(c net.Conn) {
-	if tc, ok := c.(*net.TCPConn); ok && !s.cfg.DisableNoDelay {
-		tc.SetNoDelay(true)
-	}
 	depth := s.cfg.PipelineDepth
 	respCh := make(chan connResp, depth)
 	writerDone := make(chan struct{})

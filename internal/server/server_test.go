@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/store"
@@ -19,22 +18,30 @@ import (
 	"pgridfile/internal/workload"
 )
 
-// newTestLayout builds a uniform 2-D grid file, declusters it with minimax
-// over disks, and writes the layout under t.TempDir.
+// writeLayout lays out f with scheme over disks at replication factor r
+// under t.TempDir and returns the directory and the manifest (whose
+// placements locate every page copy on disk).
+func writeLayout(t *testing.T, f *gridfile.File, scheme string, disks, r int) (string, *store.Manifest) {
+	t.Helper()
+	spec := store.DefaultLayoutSpec()
+	spec.Scheme, spec.Disks, spec.Replicas = scheme, disks, r
+	dir := t.TempDir()
+	m, err := store.Build(dir, f, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, m
+}
+
+// newTestLayout builds a uniform 2-D grid file and writes its unreplicated
+// minimax layout over disks.
 func newTestLayout(t *testing.T, records, disks int) (*gridfile.File, string) {
 	t.Helper()
 	f, err := synth.Uniform2D(records, 3).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(core.FromGridFile(f), disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := store.Write(dir, f, alloc, 4096); err != nil {
-		t.Fatal(err)
-	}
+	dir, _ := writeLayout(t, f, "minimax", disks, 1)
 	return f, dir
 }
 

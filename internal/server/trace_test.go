@@ -269,7 +269,7 @@ func TestWindowFailureIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, m := writeReplicatedDir(t, f, 1)
+	dir, m := writeLayout(t, f, "minimax", 4, 1)
 	var onDisk0 []store.Placement
 	for _, pl := range m.Buckets {
 		if pl.Disk == 0 {

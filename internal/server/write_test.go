@@ -10,10 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
-	"pgridfile/internal/replica"
-	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 )
 
@@ -25,19 +22,7 @@ func newWritableServer(t *testing.T, records, disks, r int, cfg Config) *Server 
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := core.FromGridFile(f)
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm, err := (&replica.Placer{Replicas: r}).Place(g, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := store.WriteReplicated(dir, f, rm, 4096); err != nil {
-		t.Fatal(err)
-	}
+	dir, _ := writeLayout(t, f, "minimax", disks, r)
 	cfg.Writable = true
 	s, err := OpenDir(dir, cfg)
 	if err != nil {

@@ -5,32 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/synth"
 )
 
-// faultAllocators is the scheme matrix the single-disk-failure property is
-// proved over: one of each allocator family (heuristic search, index-based).
-func faultAllocators(t *testing.T) map[string]core.Allocator {
-	t.Helper()
-	m := map[string]core.Allocator{
-		"minimax": &core.Minimax{Seed: 1},
-		"ssp":     &core.SSP{Seed: 1},
-		"mst":     &core.MST{Seed: 1},
-	}
-	for _, name := range []struct{ scheme, resolver string }{
-		{"DM", "D"}, {"FX", "R"}, {"HCAM", "F"},
-	} {
-		a, err := core.NewIndexBased(name.scheme, name.resolver, 1)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", name.scheme, name.resolver, err)
-		}
-		m[name.scheme+"/"+name.resolver] = a
-	}
-	return m
-}
+// familySchemes is the allocator matrix the failure properties are proved
+// over, as core.ParseAllocator names: the three weight-based engines plus
+// one index-based scheme per construction style.
+var familySchemes = []string{"minimax", "ssp", "mst", "DM/D", "FX/R", "HCAM/F"}
 
 // recordCounts is the multiset of record keys in a set of buckets.
 func recordCounts(f *gridfile.File, ids []int32) map[[2]float64]int {
@@ -60,15 +43,12 @@ func TestSingleDiskFailureLosesOnlyThatDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := core.FromGridFile(f)
 		full := recordCounts(f, bucketIDs(f))
-		for algName, alg := range faultAllocators(t) {
-			alloc, err := alg.Decluster(g, disks)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", dsName, algName, err)
-			}
+		for _, algName := range familySchemes {
+			spec := DefaultLayoutSpec()
+			spec.Scheme, spec.Disks = algName, disks
 			dir := t.TempDir()
-			if _, err := Write(dir, f, alloc, 4096); err != nil {
+			if _, err := Build(dir, f, spec); err != nil {
 				t.Fatal(err)
 			}
 			s, err := Open(dir)

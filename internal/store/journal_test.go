@@ -8,32 +8,22 @@ import (
 	"path/filepath"
 	"testing"
 
-	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
-	"pgridfile/internal/replica"
 	"pgridfile/internal/synth"
 )
 
-// buildCrashLayout lays out a small uniform dataset with the given allocator
+// buildCrashLayout lays out a small uniform dataset with the given scheme
 // at replication r, sized so buckets span multiple pages and inserts split.
-func buildCrashLayout(t *testing.T, alloc core.Allocator, disks, r int) (string, *gridfile.File) {
+func buildCrashLayout(t *testing.T, scheme string, disks, r int) (string, *gridfile.File) {
 	t.Helper()
 	f, err := synth.Uniform2D(300, 3).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := core.FromGridFile(f)
-	a, err := alloc.Decluster(g, disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm, err := (&replica.Placer{Replicas: r}).Place(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if _, err := WriteReplicated(dir, f, rm, 1024); err != nil {
+	spec := LayoutSpec{Scheme: scheme, Seed: 1, Disks: disks, Replicas: r, PageBytes: 1024}
+	if _, err := Build(dir, f, spec); err != nil {
 		t.Fatal(err)
 	}
 	return dir, f
@@ -120,26 +110,25 @@ func applyUntilCrash(t *testing.T, s *Store, ops []crashOp) int {
 // fully absent (never half), and every bucket's replica copies come back
 // checksum-valid and byte-identical.
 func TestCrashRecoveryAtEveryFailpoint(t *testing.T) {
-	allocs := scrubAllocators(t)
+	schemes := familySchemes
 	if testing.Short() {
 		// The full matrix is ~12 configs x ~200 crash trials; -short keeps
 		// one weight-based and one index-based family.
-		short := map[string]core.Allocator{"minimax": allocs["minimax"], "DM/D": allocs["DM/D"]}
-		allocs = short
+		schemes = []string{"minimax", "DM/D"}
 	}
-	for name, alloc := range allocs {
+	for _, name := range schemes {
 		for _, r := range []int{1, 2} {
 			t.Run(name+"/r="+string(rune('0'+r)), func(t *testing.T) {
 				t.Parallel()
-				testCrashRecovery(t, alloc, r)
+				testCrashRecovery(t, name, r)
 			})
 		}
 	}
 }
 
-func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
+func testCrashRecovery(t *testing.T, scheme string, r int) {
 	const disks = 3
-	base, f := buildCrashLayout(t, alloc, disks, r)
+	base, f := buildCrashLayout(t, scheme, disks, r)
 	ops := crashOps(f.Domain())
 
 	// Dry run: count the crash points the full sequence passes through.

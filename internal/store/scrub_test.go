@@ -8,32 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"pgridfile/internal/core"
-	"pgridfile/internal/replica"
 	"pgridfile/internal/synth"
 )
-
-// scrubAllocators is one of each allocator family, mirroring the failure
-// matrices elsewhere: the three weight-based engines plus one index-based
-// scheme per construction style.
-func scrubAllocators(t *testing.T) map[string]core.Allocator {
-	t.Helper()
-	m := map[string]core.Allocator{
-		"minimax": &core.Minimax{Seed: 1},
-		"ssp":     &core.SSP{Seed: 1},
-		"mst":     &core.MST{Seed: 1},
-	}
-	for _, name := range []struct{ scheme, resolver string }{
-		{"DM", "D"}, {"FX", "R"}, {"HCAM", "F"},
-	} {
-		a, err := core.NewIndexBased(name.scheme, name.resolver, 1)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", name.scheme, name.resolver, err)
-		}
-		m[name.scheme+"/"+name.resolver] = a
-	}
-	return m
-}
 
 // pageCopy addresses one physical copy of one bucket page on disk.
 type pageCopy struct {
@@ -68,23 +44,15 @@ func layoutPageCopies(m Manifest) []pageCopy {
 // verification.
 func TestScrubRepairsEveryPage(t *testing.T) {
 	const disks, r, pageBytes = 4, 2, 1024
-	for name, alloc := range scrubAllocators(t) {
+	for _, name := range familySchemes {
 		t.Run(name, func(t *testing.T) {
 			f, err := synth.Uniform2D(300, 3).Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := core.FromGridFile(f)
-			a, err := alloc.Decluster(g, disks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rm, err := (&replica.Placer{Replicas: r}).Place(g, a)
-			if err != nil {
-				t.Fatal(err)
-			}
+			spec := LayoutSpec{Scheme: name, Seed: 1, Disks: disks, Replicas: r, PageBytes: pageBytes}
 			dir := t.TempDir()
-			m, err := WriteReplicated(dir, f, rm, pageBytes)
+			m, err := Build(dir, f, spec)
 			if err != nil {
 				t.Fatal(err)
 			}

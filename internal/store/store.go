@@ -152,6 +152,53 @@ func recordsPerPage(pageBytes, dims, header int) int {
 	return (pageBytes - header) / (8 * dims)
 }
 
+// LayoutSpec is everything Build needs besides the grid file: the
+// declustering scheme (a core.ParseAllocator name) and its seed, the build
+// worker bound (0 = GOMAXPROCS; the layout does not depend on it), the disk
+// count, the copies per bucket and the page size. Zero values are taken
+// literally, so start from DefaultLayoutSpec and override fields.
+type LayoutSpec struct {
+	Scheme    string
+	Seed      int64
+	Workers   int
+	Disks     int
+	Replicas  int
+	PageBytes int
+}
+
+// DefaultLayoutSpec returns an unreplicated minimax layout over 4 disks
+// with the grid file's own page size.
+func DefaultLayoutSpec() LayoutSpec {
+	return LayoutSpec{
+		Scheme:    "minimax",
+		Seed:      1,
+		Disks:     4,
+		Replicas:  1,
+		PageBytes: gridfile.PageSize,
+	}
+}
+
+// Build is the layout pipeline: it declusters f's buckets over spec.Disks
+// with spec.Scheme, places spec.Replicas copies of each (replica.Placer; at
+// r=1 the placement is the allocation itself) and writes the layout under
+// dir. It returns the manifest it wrote.
+func Build(dir string, f *gridfile.File, spec LayoutSpec) (*Manifest, error) {
+	allocator, err := core.ParseAllocator(spec.Scheme, spec.Seed, spec.Workers)
+	if err != nil {
+		return nil, err
+	}
+	g := core.FromGridFile(f)
+	alloc, err := allocator.Decluster(g, spec.Disks)
+	if err != nil {
+		return nil, err
+	}
+	rm, err := (&replica.Placer{Replicas: spec.Replicas, Workers: spec.Workers}).Place(g, alloc)
+	if err != nil {
+		return nil, err
+	}
+	return WriteReplicated(dir, f, rm, spec.PageBytes)
+}
+
 // Write lays out the grid file's buckets over per-disk page files under
 // dir, following the allocation. It returns the manifest it wrote. Pages
 // are written in the checksummed format and the manifest carries the

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
+	"pgridfile/internal/replica"
 	"pgridfile/internal/synth"
 )
 
@@ -199,6 +201,96 @@ func TestWriteValidation(t *testing.T) {
 	bad := core.Allocation{Disks: 2, Assign: []int{0}}
 	if _, err := Write(t.TempDir(), f, bad, 4096); err == nil {
 		t.Error("truncated allocation accepted")
+	}
+}
+
+// TestBuildMatchesPipeline pins Build to the hand-written pipeline it
+// replaces, file for file and byte for byte: Decluster→Write at r=1 and
+// Decluster→Place→WriteReplicated at r=2, for any worker count.
+func TestBuildMatchesPipeline(t *testing.T) {
+	f, err := synth.Hotspot2D(3000, 5).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	const disks = 8
+	for _, scheme := range []string{"minimax", "DM/D"} {
+		allocator, err := core.ParseAllocator(scheme, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, err := allocator.Decluster(g, disks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []int{1, 2} {
+			want := t.TempDir()
+			if r == 1 {
+				_, err = Write(want, f, alloc, gridfile.PageSize)
+			} else {
+				var rm *replica.Map
+				if rm, err = (&replica.Placer{Replicas: r, Workers: 1}).Place(g, alloc); err == nil {
+					_, err = WriteReplicated(want, f, rm, gridfile.PageSize)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				spec := DefaultLayoutSpec()
+				spec.Scheme, spec.Disks, spec.Replicas, spec.Workers = scheme, disks, r, workers
+				got := t.TempDir()
+				if _, err := Build(got, f, spec); err != nil {
+					t.Fatalf("%s r=%d workers=%d: %v", scheme, r, workers, err)
+				}
+				sameDirs(t, fmt.Sprintf("%s r=%d workers=%d", scheme, r, workers), want, got)
+			}
+		}
+	}
+
+	for name, override := range map[string]func(*LayoutSpec){
+		"unknown scheme":   func(s *LayoutSpec) { s.Scheme = "bogus" },
+		"zero replicas":    func(s *LayoutSpec) { s.Replicas = 0 },
+		"replicas > disks": func(s *LayoutSpec) { s.Replicas = s.Disks + 1 },
+	} {
+		spec := DefaultLayoutSpec()
+		override(&spec)
+		if _, err := Build(t.TempDir(), f, spec); err == nil {
+			t.Errorf("%s: Build accepted %+v", name, spec)
+		}
+	}
+}
+
+// sameDirs fails unless directories a and b hold the same file names with
+// byte-identical contents.
+func sameDirs(t *testing.T, label, a, b string) {
+	t.Helper()
+	ea, err := os.ReadDir(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := os.ReadDir(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ea) != len(eb) {
+		t.Fatalf("%s: %d files, reference has %d", label, len(eb), len(ea))
+	}
+	for i, e := range ea {
+		if eb[i].Name() != e.Name() {
+			t.Fatalf("%s: file %q, reference has %q", label, eb[i].Name(), e.Name())
+		}
+		da, err := os.ReadFile(filepath.Join(a, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := os.ReadFile(filepath.Join(b, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(da, db) {
+			t.Errorf("%s: %s differs from the reference", label, e.Name())
+		}
 	}
 }
 

@@ -23,7 +23,9 @@
 #  11. campaign gate
 #                  deterministic fault x scheme x workload x replication
 #                  matrix: byte-identical across runs, zero surfaced errors,
-#                  and exactly matching the committed CAMPAIGN.json
+#                  and exactly matching the committed CAMPAIGN.json; the
+#                  campaign's r=1 and r=2 layouts go through store.Build,
+#                  so this also pins Build's layouts byte for byte
 #  12. bench smoke one-shot run of the serving-path benchmark suite
 #  13. alloc gate  tuned and tuned-pipelined throughput rows with -benchmem
 #                  must stay within the committed allocs/op budget
