@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -502,40 +500,21 @@ func BenchmarkServerThroughput(b *testing.B) {
 				if clients == 0 {
 					clients = 8
 				}
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				lats := make([][]float64, clients) // per-worker, merged after
 				b.ResetTimer()
-				start := time.Now()
-				for w := 0; w < clients; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for {
-							i := int(next.Add(1)) - 1
-							if i >= b.N {
-								return
-							}
-							t0 := time.Now()
-							if _, _, err := cl.RangeCount(ranges[i%len(ranges)]); err != nil {
-								b.Error(err)
-								return
-							}
-							lats[w] = append(lats[w], float64(time.Since(t0).Microseconds())/1000)
-						}
-					}(w)
+				res, err := loadgen.Closed(context.Background(), clients, b.N, func(ctx context.Context, i int) error {
+					_, _, err := cl.RangeCountCtx(ctx, ranges[i%len(ranges)])
+					return err
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				wg.Wait()
-				elapsed := time.Since(start)
-
-				var all []float64
-				for _, l := range lats {
-					all = append(all, l...)
+				if res.Errors > 0 {
+					b.Fatalf("closed-loop run hit %d errors", res.Errors)
 				}
-				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
-				b.ReportMetric(stats.Percentile(all, 50), "p50-ms")
-				b.ReportMetric(stats.Percentile(all, 95), "p95-ms")
-				b.ReportMetric(stats.Percentile(all, 99), "p99-ms")
+				b.ReportMetric(res.Achieved, "queries/s")
+				b.ReportMetric(msOf(res.Latency.P50), "p50-ms")
+				b.ReportMetric(msOf(res.Latency.P95), "p95-ms")
+				b.ReportMetric(msOf(res.Latency.P99), "p99-ms")
 				snap := s.Snapshot()
 				hitRate := 0.0
 				if cs := snap.Cache; cs != nil {
@@ -558,6 +537,9 @@ func BenchmarkServerThroughput(b *testing.B) {
 		}
 	}
 }
+
+// msOf converts a duration to the serving benchmarks' milliseconds.
+func msOf(d time.Duration) float64 { return float64(d) / 1e6 }
 
 // BenchmarkServerOpenLoop measures the serving path under the open-loop
 // harness (internal/loadgen, DESIGN S26): b.N queries arrive on a seeded
@@ -603,7 +585,6 @@ func BenchmarkServerOpenLoop(b *testing.B) {
 				if res.Errors > 0 {
 					b.Fatalf("open-loop run hit %d errors", res.Errors)
 				}
-				msOf := func(d time.Duration) float64 { return float64(d) / 1e6 }
 				b.ReportMetric(res.Offered, "offered-qps")
 				b.ReportMetric(res.Achieved, "achieved-qps")
 				b.ReportMetric(msOf(res.Latency.P50), "p50-ms")

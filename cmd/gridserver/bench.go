@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,7 +23,6 @@ import (
 	"pgridfile/internal/server"
 	"pgridfile/internal/stats"
 	"pgridfile/internal/store"
-	"pgridfile/internal/workload"
 )
 
 type benchOpts struct {
@@ -32,6 +30,8 @@ type benchOpts struct {
 	queries      int
 	ratio        float64
 	k            int
+	hot          float64 // fraction of queries aimed at the hot spot
+	hotFrac      float64 // hot-spot extent per dimension
 	seed         int64
 	timeout      time.Duration
 	cacheBytes   int64  // in-process servers only; <=0 disables
@@ -49,8 +49,6 @@ type benchOpts struct {
 	rate     float64          // offered rate, queries/sec
 	duration time.Duration    // run length; N = rate × duration
 	arrivals loadgen.Arrivals // poisson or fixed
-	hot      float64          // fraction of queries aimed at the hot spot
-	hotFrac  float64          // hot-spot extent per dimension
 	sweep    string           // "start:factor:steps" rate escalation
 	slo      time.Duration    // p99 bound for a sweep step to count as sustained
 
@@ -143,7 +141,7 @@ func runBench(args []string, out io.Writer) error {
 	rate := fs.Float64("rate", 5000, "open-loop offered rate, queries/sec")
 	duration := fs.Duration("duration", 2*time.Second, "open-loop run length (query count = rate x duration)")
 	arrivalsFlag := fs.String("arrivals", "poisson", "open-loop arrival process: poisson or fixed")
-	hot := fs.Float64("hot", 0, "fraction of open-loop queries aimed at a hot spot (0 = uniform keys)")
+	hot := fs.Float64("hot", 0, "fraction of queries aimed at a hot spot (0 = uniform keys)")
 	hotFrac := fs.Float64("hot-frac", 0.1, "hot-spot extent per dimension, as a fraction of the domain")
 	sweep := fs.String("sweep", "", "open-loop rate sweep start:factor:steps, e.g. 1000:2:6 (implies -open-loop)")
 	slo := fs.Duration("slo", 0, "p99 bound a sweep step must meet to count as sustained (0 disables)")
@@ -343,22 +341,10 @@ func benchAddr(addr, label string, opts benchOpts) ([]benchRow, error) {
 }
 
 // closedAddr runs the classic closed-loop load: opts.clients workers, each
-// waiting for its response before sending the next query.
+// waiting for its response before sending the next op of the synthesized
+// mix.
 func closedAddr(c *server.Client, snap server.Snapshot, dom geom.Rect, label string, opts benchOpts) (benchRow, error) {
-
-	// Pre-generate the mixed workload: 60% range (half count-only), 20%
-	// point, 10% k-NN, 10% partial-match.
-	ranges := workload.SquareRange(dom, opts.ratio, opts.queries, opts.seed)
-	partials := workload.PartialMatch(dom, 1, opts.queries, opts.seed+1)
-	rng := rand.New(rand.NewSource(opts.seed + 2))
-	points := make([]geom.Point, opts.queries)
-	for i := range points {
-		p := make(geom.Point, len(dom))
-		for d := range p {
-			p[d] = dom[d].Lo + rng.Float64()*dom[d].Length()
-		}
-		points[i] = p
-	}
+	ops := opts.synthesize(dom, opts.queries)
 	// -write-frac: a deterministic subset of the ops become INSERTs with
 	// fresh keys (own seed stream, so the read workload is unchanged).
 	var isWrite []bool
@@ -377,81 +363,42 @@ func closedAddr(c *server.Client, snap server.Snapshot, dom geom.Rect, label str
 		}
 	}
 
-	var (
-		next        atomic.Int64
-		mu          sync.Mutex
-		lats        []float64 // milliseconds
-		errors      int
-		degraded    int
-		writesSent  int
-		writesAcked int
-		wg          sync.WaitGroup
-	)
-	start := time.Now()
-	for w := 0; w < opts.clients; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= opts.queries {
-					return
-				}
-				t0 := time.Now()
-				var err error
-				var info server.QueryInfo
-				wrote, applied := false, false
-				switch {
-				case isWrite != nil && isWrite[i]:
-					wrote = true
-					var res server.Result
-					res, err = c.Insert(writeKeys[i])
-					info, applied = res.Info, res.Applied
-				case i%10 < 3:
-					_, info, err = c.Range(ranges[i])
-				case i%10 < 6:
-					_, info, err = c.RangeCount(ranges[i])
-				case i%10 < 8:
-					_, info, err = c.Point(points[i])
-				case i%10 == 8:
-					_, info, err = c.KNN(points[i], opts.k)
-				default:
-					_, info, err = c.PartialMatch(partials[i])
-				}
-				ms := float64(time.Since(t0).Microseconds()) / 1000
-				mu.Lock()
-				lats = append(lats, ms)
-				if err != nil {
-					errors++
-				}
-				if info.Degraded {
-					degraded++
-				}
-				if wrote {
-					writesSent++
-					if applied {
-						writesAcked++
-					}
-				}
-				mu.Unlock()
+	var degraded, writesSent, writesAcked atomic.Int64
+	r, err := loadgen.Closed(context.Background(), opts.clients, opts.queries, func(ctx context.Context, i int) error {
+		var info server.QueryInfo
+		var err error
+		if isWrite != nil && isWrite[i] {
+			var res server.Result
+			res, err = c.InsertCtx(ctx, writeKeys[i])
+			info = res.Info
+			writesSent.Add(1)
+			if res.Applied {
+				writesAcked.Add(1)
 			}
-		}()
+		} else {
+			info, err = c.Do(ctx, ops[i])
+		}
+		if info.Degraded {
+			degraded.Add(1)
+		}
+		return err
+	})
+	if err != nil {
+		return benchRow{}, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
 
 	row := benchRow{
 		Scheme:   label,
-		Queries:  opts.queries,
-		Errors:   errors,
-		Degraded: degraded,
-		QPS:      float64(opts.queries) / elapsed.Seconds(),
-		P50:      stats.Percentile(lats, 50),
-		P95:      stats.Percentile(lats, 95),
-		P99:      stats.Percentile(lats, 99),
+		Queries:  r.Sent,
+		Errors:   r.Errors,
+		Degraded: int(degraded.Load()),
+		QPS:      float64(r.Sent) / r.Elapsed.Seconds(),
+		P50:      msOf(r.Latency.P50),
+		P95:      msOf(r.Latency.P95),
+		P99:      msOf(r.Latency.P99),
 
-		WritesSent:  writesSent,
-		WritesAcked: writesAcked,
+		WritesSent:  int(writesSent.Load()),
+		WritesAcked: int(writesAcked.Load()),
 	}
 	attachServerStats(&row, c, snap)
 	return row, nil
@@ -508,25 +455,9 @@ func openAddr(c *server.Client, snap server.Snapshot, dom geom.Rect, label strin
 		poolSize = int(last * sopts.StepDuration.Seconds())
 	}
 	poolSize = min(max(poolSize, 1024), 1<<16)
-	ops := loadgen.Synthesize(dom, loadgen.SynthOptions{
-		Skew:       loadgen.Skew{Hot: opts.hot, HotFrac: opts.hotFrac},
-		RangeRatio: opts.ratio,
-		K:          opts.k,
-	}, poolSize, opts.seed)
+	ops := opts.synthesize(dom, poolSize)
 	do := func(ctx context.Context, i int) error {
-		var err error
-		switch op := ops[i%len(ops)]; op.Kind {
-		case loadgen.OpPoint:
-			_, _, err = c.PointCtx(ctx, op.Key)
-		case loadgen.OpRange:
-			_, _, err = c.RangeCtx(ctx, op.Rect)
-		case loadgen.OpRangeCount:
-			_, _, err = c.RangeCountCtx(ctx, op.Rect)
-		case loadgen.OpPartialMatch:
-			_, _, err = c.PartialMatchCtx(ctx, op.Key)
-		case loadgen.OpKNN:
-			_, _, err = c.KNNCtx(ctx, op.Key, op.K)
-		}
+		_, err := c.Do(ctx, ops[i%len(ops)])
 		return err
 	}
 	base := loadgen.Options{
@@ -570,9 +501,21 @@ func openAddr(c *server.Client, snap server.Snapshot, dom geom.Rect, label strin
 	return rows, nil
 }
 
+// synthesize generates n ops of the default query mix over dom, shaped by
+// the -r, -k, -hot and -hot-frac flags; both load shapes draw from it.
+func (o benchOpts) synthesize(dom geom.Rect, n int) []loadgen.Op {
+	return loadgen.Synthesize(dom, loadgen.SynthOptions{
+		Skew:       loadgen.Skew{Hot: o.hot, HotFrac: o.hotFrac},
+		RangeRatio: o.ratio,
+		K:          o.k,
+	}, n, o.seed)
+}
+
+// msOf converts a duration to the bench rows' milliseconds.
+func msOf(d time.Duration) float64 { return float64(d) / 1e6 }
+
 // openRow converts one loadgen result into a bench row (durations in ms).
 func openRow(label string, r loadgen.Result, opts benchOpts) benchRow {
-	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	return benchRow{
 		Scheme:   label,
 		Mode:     "open",
@@ -582,11 +525,11 @@ func openRow(label string, r loadgen.Result, opts benchOpts) benchRow {
 		Achieved: r.Achieved,
 		Queries:  r.Sent,
 		Errors:   r.Errors,
-		P50:      ms(r.Latency.P50),
-		P95:      ms(r.Latency.P95),
-		P99:      ms(r.Latency.P99),
-		P999:     ms(r.Latency.P999),
-		MaxLagMs: ms(r.MaxLag),
+		P50:      msOf(r.Latency.P50),
+		P95:      msOf(r.Latency.P95),
+		P99:      msOf(r.Latency.P99),
+		P999:     msOf(r.Latency.P999),
+		MaxLagMs: msOf(r.MaxLag),
 	}
 }
 

@@ -368,7 +368,7 @@ func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl worklo
 	ops := loadgen.Synthesize(f.Domain(), wl.opts, opts.Queries, opts.Seed*1000+int64(trial))
 	for _, op := range ops {
 		start := time.Now()
-		err := runOp(cl, op)
+		_, err := cl.Do(context.Background(), op)
 		rec.Record(time.Since(start))
 		if err != nil {
 			// Degraded mode should absorb every injected fault; a surfaced
@@ -391,23 +391,4 @@ func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl worklo
 	cell.ScrubCorrupt += scrub.Corrupt
 	cell.ScrubRepaired += scrub.Repaired
 	return nil
-}
-
-func runOp(cl *server.Client, op loadgen.Op) error {
-	var err error
-	switch op.Kind {
-	case loadgen.OpPoint:
-		_, _, err = cl.Point(op.Key)
-	case loadgen.OpRange:
-		_, _, err = cl.Range(op.Rect)
-	case loadgen.OpRangeCount:
-		_, _, err = cl.RangeCount(op.Rect)
-	case loadgen.OpPartialMatch:
-		_, _, err = cl.PartialMatch(op.Key)
-	case loadgen.OpKNN:
-		_, _, err = cl.KNN(op.Key, op.K)
-	default:
-		err = fmt.Errorf("campaign: unmapped op kind %v", op.Kind)
-	}
-	return err
 }

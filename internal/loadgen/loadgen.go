@@ -1,7 +1,7 @@
-// Package loadgen is the open-loop load harness (DESIGN S26): it offers
-// requests to a server at a configured arrival rate on a deterministic,
-// seeded schedule, instead of waiting for each response before sending the
-// next request the way a closed-loop bench does.
+// Package loadgen is the load harness (DESIGN S26). Its main mode is
+// open-loop: it offers requests to a server at a configured arrival rate on
+// a deterministic, seeded schedule, instead of waiting for each response
+// before sending the next request the way a closed-loop bench does.
 //
 // The distinction matters for honesty. A closed-loop generator self-throttles
 // — when the server stalls, the generator stops offering load, so the stall
@@ -10,6 +10,10 @@
 // its latency is measured from that intended time regardless of when the
 // pacer actually got it onto the wire; a stall therefore penalizes every
 // request scheduled behind it, exactly as it would penalize real clients.
+//
+// Closed is the closed-loop driver, kept for peak-throughput runs: a fixed
+// set of workers, each sending its next request as soon as the previous one
+// is answered.
 package loadgen
 
 import (
@@ -107,7 +111,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result summarizes one open-loop run.
+// Result summarizes one run of Run or Closed.
 type Result struct {
 	// Offered is the configured arrival rate; Achieved is completions per
 	// second of wall clock, the throughput the server actually sustained.
@@ -120,6 +124,7 @@ type Result struct {
 	Elapsed  time.Duration `json:"elapsed_ns"`
 	// Latency is measured from each request's intended send time — pacer
 	// lag and in-flight queueing count against the server, never for it.
+	// Closed runs measure it from the actual send.
 	Latency LatencySummary `json:"latency"`
 	// MaxLag is the worst pacer lateness (intended vs actual dispatch):
 	// small lag means the generator itself kept up and the latencies are
@@ -181,23 +186,57 @@ pace:
 		}(i, target)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	res := result(sent, int(errs.Load()), time.Since(start), rec)
+	res.Offered = opts.Rate
+	res.MaxLag = maxLag
+	return res, ctx.Err()
+}
 
-	res := Result{
-		Offered: opts.Rate,
-		Sent:    sent,
-		Errors:  int(errs.Load()),
-		Elapsed: elapsed,
-		Latency: rec.Summary(),
-		MaxLag:  maxLag,
+// Closed executes one closed-loop run: workers goroutines claim the indices
+// 0..n-1 from one shared counter and call do(ctx, i) for each, a worker
+// claiming its next index only once do returns. Latency is measured from
+// the actual send; a closed loop has no intended send times, so Offered and
+// MaxLag stay zero. A do error counts toward Errors; cancelling ctx stops
+// the workers claiming further indices.
+func Closed(ctx context.Context, workers, n int, do func(ctx context.Context, i int) error) (Result, error) {
+	if workers <= 0 {
+		return Result{}, fmt.Errorf("loadgen: worker count %d must be positive", workers)
 	}
+	if n <= 0 {
+		return Result{}, fmt.Errorf("loadgen: request count %d must be positive", n)
+	}
+	rec := NewRecorder()
+	var next, errs atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				t0 := time.Now()
+				if err := do(ctx, i); err != nil {
+					errs.Add(1)
+				}
+				rec.Record(time.Since(t0))
+			}
+		}()
+	}
+	wg.Wait()
+	return result(int(rec.Count()), int(errs.Load()), time.Since(start), rec), ctx.Err()
+}
+
+// result assembles the fields Run and Closed share.
+func result(sent, errs int, elapsed time.Duration, rec *Recorder) Result {
+	res := Result{Sent: sent, Errors: errs, Elapsed: elapsed, Latency: rec.Summary()}
 	if elapsed > 0 {
-		res.Achieved = float64(sent-res.Errors) / elapsed.Seconds()
+		res.Achieved = float64(sent-errs) / elapsed.Seconds()
 	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res
 }
 
 // SweepOptions configures a rate sweep.

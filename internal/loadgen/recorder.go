@@ -105,8 +105,8 @@ func (r *Recorder) Quantile(p float64) time.Duration {
 	return time.Duration(r.max.Load())
 }
 
-// LatencySummary reports an open-loop run's latency distribution, measured
-// from intended send times.
+// LatencySummary reports a run's latency distribution: from intended send
+// times in an open-loop run, from actual send times in a closed-loop one.
 type LatencySummary struct {
 	Count int64         `json:"count"`
 	Mean  time.Duration `json:"mean_ns"`

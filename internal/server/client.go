@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pgridfile/internal/geom"
+	"pgridfile/internal/loadgen"
 )
 
 // ClientConfig tunes a Client.
@@ -151,20 +152,23 @@ func idempotent(v Verb) bool {
 	return false
 }
 
-// encodeError marks a request-validation failure from the encoder: it is
-// deterministic, so retrying is pointless and the connection is unharmed.
-type encodeError struct{ err error }
+// finalError marks an attempt failure that a retry cannot fix: the encoder
+// rejected the request (nothing was sent), or handle rejected the reply
+// (re-sending would draw the same reply). exchange returns it at once.
+type finalError struct{ err error }
 
-func (e *encodeError) Error() string { return e.err.Error() }
-func (e *encodeError) Unwrap() error { return e.err }
+func (e *finalError) Error() string { return e.err.Error() }
+func (e *finalError) Unwrap() error { return e.err }
 
 // exchange runs one request end to end: pooling or pipelining, per-request
 // deadline, retry with backoff. On success it calls handle exactly once with
 // the response frame (never VerbError — that becomes a *ServerError) while
 // the frame is still valid; handle must copy anything it keeps, because on
 // pooled connections the payload aliases the connection's read buffer. A
-// handle error discards the connection (a malformed response means the
-// stream can't be trusted) and is returned without retry.
+// handle error (a reply that fails to decode) is returned after that one
+// attempt. A pooled connection is closed with it, since a bare stream that
+// carried a malformed reply can't be trusted; a pipelined connection stays
+// open, because its tagged framing is still intact.
 func (c *Client) exchange(ctx context.Context, req Request, handle func(Frame) error) error {
 	retries := c.cfg.Retries
 	if !idempotent(req.Verb) {
@@ -190,9 +194,9 @@ func (c *Client) exchange(ctx context.Context, req Request, handle func(Frame) e
 		if err == nil {
 			return nil
 		}
-		var ee *encodeError
+		var fe *finalError
 		var se *ServerError
-		if errors.As(err, &ee) || errors.As(err, &se) || errors.Is(err, context.Canceled) ||
+		if errors.As(err, &fe) || errors.As(err, &se) || errors.Is(err, context.Canceled) ||
 			errors.Is(err, context.DeadlineExceeded) {
 			return err // deterministic, server-reported, or caller-aborted: no retry
 		}
@@ -225,7 +229,7 @@ func (c *Client) exchangePooled(ctx context.Context, req Request, handle func(Fr
 	cc.wbuf, err = AppendRequestFrame(cc.wbuf[:0], req, 0, false)
 	if err != nil {
 		c.putConn(cc) // nothing was written; the connection is fine
-		return &encodeError{err}
+		return &finalError{err}
 	}
 	if _, err := cc.c.Write(cc.wbuf); err != nil {
 		cc.c.Close()
@@ -243,7 +247,7 @@ func (c *Client) exchangePooled(ctx context.Context, req Request, handle func(Fr
 	}
 	if err := handle(resp); err != nil {
 		cc.c.Close()
-		return err
+		return &finalError{err}
 	}
 	c.putConn(cc)
 	return nil
@@ -454,7 +458,7 @@ func (pc *pipeConn) enqueue(req Request, deadline time.Time) (uint32, *waiter, e
 	if err != nil {
 		pc.pending = pc.pending[:n]
 		pc.mu.Unlock()
-		return 0, nil, &encodeError{err}
+		return 0, nil, &finalError{err}
 	}
 	w := waiterPool.Get().(*waiter)
 	w.deadline = deadline
@@ -578,8 +582,8 @@ func (c *Client) exchangePipelined(ctx context.Context, req Request, handle func
 		var herr error
 		if resp.Verb == VerbError {
 			herr = &ServerError{Msg: string(resp.Payload)}
-		} else {
-			herr = handle(resp)
+		} else if err := handle(resp); err != nil {
+			herr = &finalError{err}
 		}
 		// The reply is consumed; recycle its buffer and the waiter.
 		putRespBuf(w.buf)
@@ -686,6 +690,30 @@ func (c *Client) KNN(key geom.Point, k int) ([]geom.Point, QueryInfo, error) {
 func (c *Client) KNNCtx(ctx context.Context, key geom.Point, k int) ([]geom.Point, QueryInfo, error) {
 	res, err := c.doResult(ctx, Request{Verb: VerbKNN, Key: key, K: k})
 	return res.Points, res.Info, err
+}
+
+// Do sends one synthesized load op through the typed call its kind names
+// and returns that call's accounting, discarding the answer. It is the one
+// mapping from loadgen ops onto the client API; an op of unknown kind is an
+// error and sends nothing.
+func (c *Client) Do(ctx context.Context, op loadgen.Op) (QueryInfo, error) {
+	var info QueryInfo
+	var err error
+	switch op.Kind {
+	case loadgen.OpPoint:
+		_, info, err = c.PointCtx(ctx, op.Key)
+	case loadgen.OpRange:
+		_, info, err = c.RangeCtx(ctx, op.Rect)
+	case loadgen.OpRangeCount:
+		_, info, err = c.RangeCountCtx(ctx, op.Rect)
+	case loadgen.OpPartialMatch:
+		_, info, err = c.PartialMatchCtx(ctx, op.Key)
+	case loadgen.OpKNN:
+		_, info, err = c.KNNCtx(ctx, op.Key, op.K)
+	default:
+		err = fmt.Errorf("server: unmapped load op kind %v", op.Kind)
+	}
+	return info, err
 }
 
 // Insert stores one record on a writable server. The returned Splits counts
