@@ -329,7 +329,7 @@ func runCell(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl workloa
 			return cell, err
 		}
 	}
-	cell.P99Micros = float64(rec.Quantile(0.99).Microseconds())
+	cell.P99Micros = float64(rec.Quantile(99).Microseconds())
 	return cell, nil
 }
 

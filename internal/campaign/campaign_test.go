@@ -3,6 +3,7 @@ package campaign
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // smallOpts is a reduced matrix that still spans every axis kind: a healthy
@@ -111,6 +112,31 @@ func TestCampaignDeterministicAndSound(t *testing.T) {
 		if c.Replicas == 1 && c.Degraded == 0 {
 			t.Errorf("%s: corrupt page never degraded an answer", c.key())
 		}
+	}
+}
+
+// TestCellP99IsTheTail pins the p99 column to the 99th percentile: with
+// most page reads stalled by a fixed delay, the median query already pays
+// the delay, so the p99 must too.
+func TestCellP99IsTheTail(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	r, err := Run(Options{
+		Records:   300,
+		Disks:     4,
+		Queries:   20,
+		Trials:    1,
+		Seed:      1,
+		Schemes:   []string{"minimax"},
+		Replicas:  []int{1},
+		Faults:    []string{"store.read:delay=20ms:p=0.8"},
+		Workloads: []string{"points"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The recorder reports bucket midpoints, within 1.6% of a sample.
+	if got, floor := r.Cells[0].P99Micros, 0.98*float64(delay.Microseconds()); got < floor {
+		t.Fatalf("p99 is %.0fµs, below the %v every stalled read pays", got, delay)
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -182,6 +181,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg    Config
 	grid   *gridfile.File
+	dom    geom.Rect // grid.Domain(), fixed for the grid's lifetime
 	st     *store.Store
 	met    *Metrics
 	faults *fault.Registry
@@ -264,6 +264,7 @@ func New(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		grid:     grid,
+		dom:      grid.Domain(),
 		st:       st,
 		met:      newMetrics(m.Disks),
 		faults:   cfg.Faults,
@@ -888,6 +889,12 @@ type qstate struct {
 	req  Request
 	ids  []int32
 	recs []geom.Flat
+
+	// kNN scratch: the ids every earlier probe fetched (ascending), the
+	// probe box, and the k nearest rows seen so far.
+	seen    []int32
+	box     geom.Rect
+	nearest knnHeap
 }
 
 var qstatePool = sync.Pool{New: func() any { return new(qstate) }}
@@ -1552,7 +1559,7 @@ func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *res
 }
 
 func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, vals []float64) (Result, error) {
-	dom := s.grid.Domain()
+	dom := s.dom
 	q := make(geom.Rect, len(vals))
 	for d, v := range vals {
 		if math.IsNaN(v) {
@@ -1568,10 +1575,12 @@ func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *r
 
 // knnQuery finds the k nearest stored points by growing a range box around
 // the key — the grid file's classic expanding-search strategy, executed
-// against the page store so every probe is real declustered I/O. Buckets
-// are fetched at most once per query.
+// against the page store so every probe is real declustered I/O. Each probe
+// fetches only the buckets no earlier probe fetched and offers only their
+// rows to a max-heap of the k nearest seen so far, so a bucket is fetched
+// and scanned at most once per query.
 func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point, k int) (Result, error) {
-	dom := s.grid.Domain()
+	dom := s.dom
 	if err := domContains(dom, key); err != nil {
 		return Result{}, err
 	}
@@ -1590,14 +1599,16 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		r = 1
 	}
 
-	type cand struct {
-		row  []float64
-		dist float64
+	// The heap's rows point into cached arenas; drop them before the
+	// qstate goes back to the pool.
+	defer qs.nearest.reset()
+	qs.seen = qs.seen[:0]
+	if cap(qs.box) < len(key) {
+		qs.box = make(geom.Rect, len(key))
 	}
-	fetched := make(map[int32]geom.Flat)
+	q := qs.box[:len(key)]
 	var info QueryInfo
 	for {
-		q := make(geom.Rect, len(key))
 		covers := true
 		for d := range key {
 			q[d] = geom.Interval{
@@ -1610,17 +1621,19 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		}
 		tstart := s.traceNow(tr)
 		s.st.RLockGrid()
-		ids := s.grid.BucketsInRange(q)
+		qs.ids = s.grid.BucketsInRangeAppend(q, qs.ids[:0])
 		s.st.RUnlockGrid()
 		s.traceSince(tr, stageTranslate, tstart)
-		var fresh []int32
-		for _, id := range ids {
-			if _, ok := fetched[id]; !ok {
+		// Both id lists are ascending, so the fresh ids keep the
+		// translation's order.
+		fresh := qs.ids[:0]
+		for _, id := range qs.ids {
+			if _, ok := slices.BinarySearch(qs.seen, id); !ok {
 				fresh = append(fresh, id)
 			}
 		}
-		recs := make([]geom.Flat, len(fresh))
-		fi, err := s.fetchBuckets(ctx, tr, fresh, recs)
+		qs.recs = growFlats(qs.recs, len(fresh))
+		fi, err := s.fetchBuckets(ctx, tr, fresh, qs.recs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -1636,29 +1649,94 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 			}
 			covers = true
 		}
-		for i, id := range fresh {
-			fetched[id] = recs[i]
-		}
-
-		var cands []cand
-		for _, rec := range fetched {
+		qs.seen = append(qs.seen, fresh...)
+		slices.Sort(qs.seen)
+		for _, rec := range qs.recs {
 			for i := 0; i < rec.Len(); i++ {
 				row := rec.Row(i)
-				cands = append(cands, cand{row: row, dist: euclid(row, key)})
+				qs.nearest.offer(row, sqDist(row, key), k)
 			}
 		}
-		slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.dist, b.dist) })
 		// Done when the k-th distance is inside the probed radius (no
 		// unfetched point can be closer) or the box covers the domain.
-		if covers || (len(cands) >= k && cands[k-1].dist <= r) {
-			n := min(k, len(cands))
-			for _, c := range cands[:n] {
+		h := qs.nearest
+		if covers || (len(h) >= k && math.Sqrt(h[0].d2) <= r) {
+			for _, c := range h.sorted() {
 				enc.appendRow(c.row)
 			}
-			return Result{Count: n, Info: info}, nil
+			return Result{Count: len(h), Info: info}, nil
 		}
 		r *= 2
 	}
+}
+
+// knnEntry is one kNN candidate: a row and its squared distance to the key.
+type knnEntry struct {
+	row []float64
+	d2  float64
+}
+
+// knnHeap holds the k nearest rows offered so far as a max-heap on squared
+// distance, so the k-th distance is always at the root.
+type knnHeap []knnEntry
+
+// offer adds row when the heap holds fewer than k rows, or replaces the
+// farthest when row is strictly nearer. A row at exactly the k-th distance
+// is not taken: among ties the row offered first stays.
+func (h *knnHeap) offer(row []float64, d2 float64, k int) {
+	a := *h
+	if len(a) < k {
+		a = append(a, knnEntry{row, d2})
+		for i := len(a) - 1; i > 0; {
+			p := (i - 1) / 2
+			if a[p].d2 >= a[i].d2 {
+				break
+			}
+			a[p], a[i] = a[i], a[p]
+			i = p
+		}
+		*h = a
+		return
+	}
+	if d2 >= a[0].d2 {
+		return
+	}
+	a[0] = knnEntry{row, d2}
+	a.down(0, len(a))
+}
+
+// down sifts a[i] down within a[:n].
+func (a knnHeap) down(i, n int) {
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && a[c+1].d2 > a[c].d2 {
+			c++
+		}
+		if a[i].d2 >= a[c].d2 {
+			return
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
+}
+
+// sorted heap-sorts the entries in place, nearest first, and returns them.
+// The heap property is gone afterwards.
+func (a knnHeap) sorted() knnHeap {
+	for n := len(a) - 1; n > 0; n-- {
+		a[0], a[n] = a[n], a[0]
+		a.down(0, n)
+	}
+	return a
+}
+
+// reset empties the heap, dropping its row references.
+func (h *knnHeap) reset() {
+	clear(*h)
+	*h = (*h)[:0]
 }
 
 func pointsEqual(a, b geom.Point) bool {
@@ -1673,13 +1751,13 @@ func pointsEqual(a, b geom.Point) bool {
 	return true
 }
 
-func euclid(a, b geom.Point) float64 {
+func sqDist(a, b geom.Point) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
 		s += d * d
 	}
-	return math.Sqrt(s)
+	return s
 }
 
 func domContains(dom geom.Rect, p geom.Point) error {

@@ -21,7 +21,7 @@ import (
 // writeLayout lays out f with scheme over disks at replication factor r
 // under t.TempDir and returns the directory and the manifest (whose
 // placements locate every page copy on disk).
-func writeLayout(t *testing.T, f *gridfile.File, scheme string, disks, r int) (string, *store.Manifest) {
+func writeLayout(t testing.TB, f *gridfile.File, scheme string, disks, r int) (string, *store.Manifest) {
 	t.Helper()
 	spec := store.DefaultLayoutSpec()
 	spec.Scheme, spec.Disks, spec.Replicas = scheme, disks, r
@@ -162,7 +162,7 @@ func TestServerEndToEnd(t *testing.T) {
 							if err != nil {
 								break
 							}
-							d := euclid(p, keys[i%len(keys)])
+							d := euclidean(p, keys[i%len(keys)])
 							if math.Abs(d-wantKNN[i][j]) > 1e-9 {
 								err = fmt.Errorf("knn %d: distance %d is %v, want %v", i, j, d, wantKNN[i][j])
 							}

@@ -5,9 +5,11 @@
 # alternating pairs: the ref first on odd pairs, the working tree first on
 # even ones, with seed = pair index on both sides, so drift on the machine
 # hits both sides alike. For every end-to-end metric in BENCHMARK.json it
-# prints each side's median and quartiles, the change in the median, and on
-# how many pairs the working tree did better; then each side's failed-op
-# count. The temporary directory is removed on exit.
+# prints each side's median and quartiles, the change in the median, on how
+# many pairs the working tree did better, and the exact two-sided sign-test
+# p-value of that win count; then each side's failed-op count. The sign test
+# leaves tied pairs out: wins are tested against the pairs that differed. The
+# temporary directory is removed on exit.
 #
 # Too slow for scripts/check.sh: each run sets the workload up several times
 # before its timed phase, and each side builds perfbench from source once.
@@ -85,6 +87,16 @@ function q(v, n, p,    h, lo) {
     lo = int(h)
     return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 }
+# exact two-sided sign-test p-value of w wins in n untied pairs:
+# 2 * P(X <= min(w, n - w)) for X ~ Binomial(n, 1/2), capped at 1
+function signp(w, n,    m, i, c, s) {
+    if (n == 0) return 1
+    m = w < n - w ? w : n - w
+    c = 1; s = 0
+    for (i = 0; i <= m; i++) { s += c; c = c * (n - i) / (i + 1) }
+    s = 2 * s / 2 ^ n
+    return s > 1 ? 1 : s
+}
 function sorted(side, m, v,    n, i, j, t) {
     n = 0
     for (i = 1; i <= pairs; i++) if ((i, side, m) in val) v[++n] = val[i, side, m]
@@ -103,23 +115,25 @@ FNR == NR { better[$1] = $2; order[++nm] = $1; next }
     if ($3 == "attempted") attempted[$2] += $4
 }
 END {
-    printf "%-12s %-6s %28s %28s %8s %6s\n", "metric", "better", "ref median [q1 q3]", "change median [q1 q3]", "delta", "wins"
+    printf "%-12s %-6s %28s %28s %8s %6s %8s\n", "metric", "better", "ref median [q1 q3]", "change median [q1 q3]", "delta", "wins", "sign p"
     for (k = 1; k <= nm; k++) {
         m = order[k]
         nr = sorted("ref", m, r)
         nc = sorted("change", m, c)
         if (nr == 0 || nc == 0) { printf "%-12s missing from the results\n", m; continue }
-        wins = 0; n = 0
+        wins = 0; n = 0; ties = 0
         for (i = 1; i <= pairs; i++) {
             if (!((i, "ref", m) in val) || !((i, "change", m) in val)) continue
             n++
             d = val[i, "change", m] - val[i, "ref", m]
-            if ((better[m] == "higher" && d > 0) || (better[m] == "lower" && d < 0)) wins++
+            if (d == 0) ties++
+            else if ((better[m] == "higher" && d > 0) || (better[m] == "lower" && d < 0)) wins++
         }
         mr = q(r, nr, 0.5); mc = q(c, nc, 0.5)
         delta = mr != 0 ? sprintf("%+.1f%%", 100 * (mc - mr) / mr) : "n/a"
-        printf "%-12s %-6s %10.4g [%.4g %.4g] %10.4g [%.4g %.4g] %8s %3d/%d\n", m, better[m],
-            mr, q(r, nr, 0.25), q(r, nr, 0.75), mc, q(c, nc, 0.25), q(c, nc, 0.75), delta, wins, n
+        printf "%-12s %-6s %10.4g [%.4g %.4g] %10.4g [%.4g %.4g] %8s %3d/%d %8.4g\n", m, better[m],
+            mr, q(r, nr, 0.25), q(r, nr, 0.75), mc, q(c, nc, 0.25), q(c, nc, 0.75), delta, wins, n,
+            signp(wins, n - ties)
     }
     printf "failed ops: ref %d of %d, change %d of %d\n", failed["ref"], attempted["ref"], failed["change"], attempted["change"]
 }' "$WORK/metrics" "$WORK/data"
